@@ -235,8 +235,8 @@ scoreLoopCell(const Loop& loop, const LaConfig& la, TranslationMode mode,
     score.ii = translation.schedule.ii;
     score.stage_count = translation.schedule.stage_count;
 
-    // Price through the summary path -- pinned bit-identical to the live
-    // acceleratorLoopCost, and exactly what a persisted blob replays.
+    // Price through the summary path -- the one the service charges and
+    // exactly what a persisted blob replays.
     const persist::TranslationSummary summary =
         persist::summarize(translation);
     score.first_cycles =

@@ -19,11 +19,12 @@
  * each cell constructs its own VirtualMachine / CostMeter; nothing
  * mutable is shared between cells.  Benchmarks are shared read-only.
  *
- * Each cell's VirtualMachine::run() prices every loop piece of the
- * application through one batched simulateCpuBatch()/
- * acceleratorCostBatch() call (see veal/sim/batch.h), so a whole sweep
- * feeds the data-parallel batch engine rather than one-invocation-at-a-
- * time simulator calls -- with bit-identical cell values.
+ * Each cell's VirtualMachine::run() prices the CPU path of every loop
+ * piece of the application through one batched simulateCpuBatch() call
+ * (see veal/sim/batch.h), so a whole sweep feeds the data-parallel batch
+ * engine rather than one-invocation-at-a-time simulator calls -- with
+ * bit-identical cell values.  LA prices are the closed-form
+ * acceleratorLoopCost() per piece (sim/la_timing.h).
  */
 
 #include <cstdint>
@@ -43,10 +44,10 @@ namespace veal::explore {
 /**
  * One backend's modeled price for one loop -- the fleet scorer's unit of
  * work (DESIGN.md §17).  Cycle totals come from the persist-summary cost
- * path (summaryLoopCost + streamTlbCharge), which is pinned bit-identical
- * to the live acceleratorLoopCost, so a score computed here equals the
- * price the service later charges on the chosen backend and equals the
- * score rehydrated from a persisted blob.
+ * path (summaryLoopCost + streamTlbCharge), the same path the service
+ * prices every serve through, so a score computed here equals the price
+ * the service later charges on the chosen backend and equals the score
+ * rehydrated from a persisted blob.
  */
 struct LoopScore {
     bool ok = false;

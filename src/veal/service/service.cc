@@ -251,16 +251,16 @@ TranslationService::drainTick()
         const Loop* loop = nullptr;
         std::string key;
         TranslationMode mode = TranslationMode::kFullyDynamic;
-        std::int64_t iterations = 12;
         std::optional<FaultInjector> injector;
-        /** Design point to translate/price against (fleet steering). */
+        /** Design point to translate against (fleet steering). */
         const LaConfig* la = nullptr;
         int backend = -1;  ///< Fleet backend index (-1: single design).
         // Parallel-phase products.
         LadderOutcome ladder;
         std::optional<ControlImage> image;
-        LaInvocationCost la_first;
-        LaInvocationCost la_warm;
+        /** The ladder result's summary: the store record, the warm-tier
+            entry and every LA price of this job's serves. */
+        persist::TranslationSummary summary;
     };
     struct PlanInfo {
         CacheOutcome cache = CacheOutcome::kCold;
@@ -500,7 +500,6 @@ TranslationService::drainTick()
         job.loop = &request.loop;
         job.key = request.key;
         job.mode = request.mode;
-        job.iterations = request.iterations;
         job.la = &laFor(plan.backend);
         job.backend = plan.backend;
         job.injector = std::move(plan.injector);
@@ -516,7 +515,9 @@ TranslationService::drainTick()
     // slots, and reads the warm tier without mutating it.  Everything
     // computed here is a pure function of the planned inputs, and the
     // batch engine's grouping-invariance makes the shard/batch
-    // partition of the pricing lanes semantically invisible.
+    // partition of the CPU pricing lanes semantically invisible.  LA
+    // prices are not computed here: the reduction reads them off each
+    // job's summary.
     std::vector<std::int64_t> cpu_cycles(admitted.size(), 0);
     const auto run_shard = [&](int shard) {
         BatchSimulator& sim =
@@ -543,6 +544,7 @@ TranslationService::drainTick()
             job.ladder = climbTranslationLadder(
                 *job.loop, *job.la, job.mode, annotations_ptr,
                 job.injector.has_value() ? &*job.injector : nullptr);
+            job.summary = persist::summarize(job.ladder.translation);
             if (job.ladder.translation.ok) {
                 job.image = ControlImage::encode(*job.loop,
                                                  job.ladder.translation);
@@ -550,51 +552,7 @@ TranslationService::drainTick()
             }
         }
 
-        // (b) Price this shard's fresh translations (first + warm
-        // invocation lanes), in --batch blocks, grouped per backend
-        // design point (a batch prices against one LaConfig).  The
-        // batch engine's grouping invariance makes both the backend
-        // grouping and the block split semantically invisible; without
-        // a fleet there is a single group and the blocks are exactly
-        // the pre-fleet ones.
-        std::map<int, std::vector<std::size_t>> ok_by_backend;
-        for (std::size_t j = static_cast<std::size_t>(shard);
-             j < jobs.size(); j += static_cast<std::size_t>(shards)) {
-            if (jobs[j].ladder.translation.ok)
-                ok_by_backend[jobs[j].backend].push_back(j);
-        }
-        for (const auto& [backend, ok_jobs] : ok_by_backend) {
-            const LaConfig& la = laFor(backend);
-            for (std::size_t begin = 0; begin < ok_jobs.size();
-                 begin += batch) {
-                const std::size_t end =
-                    std::min(begin + batch, ok_jobs.size());
-                std::vector<LaCostRequest> lanes;
-                lanes.reserve((end - begin) * 2);
-                for (std::size_t k = begin; k < end; ++k) {
-                    const auto& tr = jobs[ok_jobs[k]].ladder.translation;
-                    VEAL_ASSERT(tr.graph.has_value());
-                    LaCostRequest lane;
-                    lane.schedule = &tr.schedule;
-                    lane.graph = &*tr.graph;
-                    lane.analysis = &tr.analysis;
-                    lane.registers = &tr.registers;
-                    lane.iterations = jobs[ok_jobs[k]].iterations;
-                    lane.first_invocation = true;
-                    lanes.push_back(lane);
-                    lane.first_invocation = false;
-                    lanes.push_back(lane);
-                }
-                const auto costs = sim.acceleratorCostBatch(la, lanes);
-                for (std::size_t k = begin; k < end; ++k) {
-                    jobs[ok_jobs[k]].la_first = costs[(k - begin) * 2];
-                    jobs[ok_jobs[k]].la_warm =
-                        costs[(k - begin) * 2 + 1];
-                }
-            }
-        }
-
-        // (c) Price the baseline-CPU path of this shard's slice of the
+        // (b) Price the baseline-CPU path of this shard's slice of the
         // admitted requests, in --batch blocks.
         std::vector<std::size_t> mine;
         for (std::size_t i = static_cast<std::size_t>(shard);
@@ -629,85 +587,12 @@ TranslationService::drainTick()
         }
     }
 
-    // ---- Phase 3a: price warm/coalesced serves (their own iteration
-    // counts) out of the reduction-owned simulator, in --batch blocks.
-    // Summary-backed serves (persisted, or warm entries rehydrated from
-    // the store) price analytically through summaryLoopCost(), which is
-    // bit-identical to the batch engine for the same translation -- the
-    // foundation of the save/reload byte-equality contract.
-    struct DeferredLane {
-        std::size_t admitted_index = 0;
-        const TranslationResult* translation = nullptr;
-    };
-    // Grouped per backend (one pricing LaConfig per batch); backend -1
-    // is the single-design-point group, so a fleetless run prices in
-    // exactly the pre-fleet blocks.
-    std::map<int, std::vector<DeferredLane>> deferred;
-    std::vector<std::int64_t> warm_price(admitted.size(), 0);
-    for (std::size_t i = 0; i < admitted.size(); ++i) {
-        const PlanInfo& plan = plans[i];
-        const TranslationResult* tr = nullptr;
-        const persist::TranslationSummary* summary = nullptr;
-        if (plan.cache == CacheOutcome::kWarm) {
-            if (plan.warm_entry->summaryBacked()) {
-                if (plan.warm_entry->summary->ok)
-                    summary = &*plan.warm_entry->summary;
-            } else if (plan.warm_entry->translation.ok) {
-                tr = &plan.warm_entry->translation;
-            }
-        } else if (plan.cache == CacheOutcome::kPersisted) {
-            if (plan.persisted->summary.ok)
-                summary = &plan.persisted->summary;
-        } else if (plan.cache == CacheOutcome::kCoalesced) {
-            const auto& provider =
-                jobs[static_cast<std::size_t>(plan.provider_job)];
-            if (provider.ladder.translation.ok)
-                tr = &provider.ladder.translation;
-        }
-        if (tr != nullptr) {
-            deferred[plan.backend].push_back({i, tr});
-        } else if (summary != nullptr) {
-            warm_price[i] =
-                persist::summaryLoopCost(
-                    *summary, laFor(plan.backend),
-                    admitted[i].request.iterations,
-                    /*first_invocation=*/false)
-                    .total();
-        }
-    }
-    for (const auto& [backend, group] : deferred) {
-        const LaConfig& la = laFor(backend);
-        for (std::size_t begin = 0; begin < group.size();
-             begin += batch) {
-            const std::size_t end = std::min(begin + batch, group.size());
-            std::vector<LaCostRequest> lanes;
-            lanes.reserve(end - begin);
-            for (std::size_t k = begin; k < end; ++k) {
-                const auto& tr = *group[k].translation;
-                VEAL_ASSERT(tr.graph.has_value());
-                LaCostRequest lane;
-                lane.schedule = &tr.schedule;
-                lane.graph = &*tr.graph;
-                lane.analysis = &tr.analysis;
-                lane.registers = &tr.registers;
-                lane.iterations =
-                    admitted[group[k].admitted_index].request.iterations;
-                lane.first_invocation = false;
-                lanes.push_back(lane);
-            }
-            const auto costs =
-                reduction_sim_.acceleratorCostBatch(la, lanes);
-            for (std::size_t k = begin; k < end; ++k)
-                warm_price[group[k].admitted_index] =
-                    costs[k - begin].total();
-        }
-    }
-
-    // ---- Phase 3b: index-ordered reduction over the full submission
+    // ---- Phase 3: index-ordered reduction over the full submission
     // log (rejections included), in sequence order.  ALL accounting --
-    // registry counters, tenant digests, warm-tier publication -- lives
-    // here, which is the whole determinism argument: nothing observable
-    // depends on how phase 2 was partitioned.
+    // registry counters, tenant digests, warm-tier publication, LA
+    // pricing from the serving summary -- lives here, which is the
+    // whole determinism argument: nothing observable depends on how
+    // phase 2 was partitioned.
     last_tick_outcomes_.clear();
     std::int64_t audited_cycles = 0;
     std::int64_t charged_cycles = 0;
@@ -832,13 +717,12 @@ TranslationService::drainTick()
         out.cpu_cycles = cpu_cycles[i];
         report_.cpu_cycles += out.cpu_cycles;
 
-        // Resolve the serving translation and charge/publish fresh ones.
-        const TranslationResult* tr = nullptr;
+        // Resolve the serving summary and charge/publish fresh ones.
         const persist::TranslationSummary* summary = nullptr;
         const bool fresh = plan.job >= 0;
         if (fresh) {
             Job& job = jobs[static_cast<std::size_t>(plan.job)];
-            tr = &job.ladder.translation;
+            summary = &job.summary;
             out.rung = job.ladder.rung;
 
             const auto charge = [&](const TranslationResult& attempt) {
@@ -867,11 +751,13 @@ TranslationService::drainTick()
             // before the warm tier takes ownership of the image), then
             // publish -- success or negative either way -- at this
             // request's sequence; later ticks serve it from the warm
-            // tier, later *runs* from the store.
+            // tier, later *runs* from the store.  Both take a copy of
+            // the summary: same-tick coalesced serves still price from
+            // the job's own.
             if (persistent_ != nullptr) {
                 persist::PersistedImage record;
                 record.key = job.key;
-                record.summary = persist::summarize(job.ladder.translation);
+                record.summary = job.summary;
                 if (fleetEnabled()) {
                     // v2 blob: carry the chosen backend and the full
                     // score set so the next run rehydrates placements
@@ -884,14 +770,11 @@ TranslationService::drainTick()
                     record.image_words = job.image->words();
                 persistent_->save(record);
             }
-            warm_.publish(job.key, job.ladder.translation,
-                          std::move(job.image), epoch, log.sequence,
-                          job.backend);
+            warm_.publishSummary(job.key, job.summary,
+                                 std::move(job.image), epoch,
+                                 log.sequence, job.backend);
         } else if (plan.cache == CacheOutcome::kWarm) {
-            if (plan.warm_entry->summaryBacked())
-                summary = &*plan.warm_entry->summary;
-            else
-                tr = &plan.warm_entry->translation;
+            summary = &plan.warm_entry->summary;
         } else if (plan.cache == CacheOutcome::kPersisted) {
             summary = &plan.persisted->summary;
             // Rehydrate the warm tier once per key: the rest of the run
@@ -908,70 +791,52 @@ TranslationService::drainTick()
         } else if (plan.cache == CacheOutcome::kCoalesced) {
             const auto& provider =
                 jobs[static_cast<std::size_t>(plan.provider_job)];
-            tr = &provider.ladder.translation;
+            summary = &provider.summary;
             out.rung = provider.ladder.rung;
         }
 
-        if (tr != nullptr) {
-            out.translated_ok = tr->ok;
-            out.reject = tr->reject;
-            if (tr->ok) {
-                out.ii = tr->schedule.ii;
-                out.stage_count = tr->schedule.stage_count;
-            }
-        } else if (summary != nullptr) {
-            // Summary-backed serve: the persisted scalars carry the
-            // exact fields a full result would have reported.
+        if (summary != nullptr) {
             out.translated_ok = summary->ok;
             out.reject = summary->reject;
-            if (summary->ok) {
-                out.ii = summary->ii;
-                out.stage_count = summary->stage_count;
-            }
         }
-
         if (out.translated_ok) {
+            out.ii = summary->ii;
+            out.stage_count = summary->stage_count;
             ++tenant.translate_ok;
             ++report_.translate_ok;
             if (registry_ != nullptr) {
                 registry_->add("service.translate.ok");
                 registry_->observe("service.ii", out.ii);
             }
+            // LA prices at this request's own iteration count on its
+            // serving backend: the first invocation only for the
+            // request that translated, the warm one for every serve.
+            // TLB page-walk charges (opt-in) ride on top --
+            // execution-side, so translation phase cycles still
+            // telescope.
+            const LaConfig& la = laFor(plan.backend);
+            const std::int64_t iterations =
+                admitted[i].request.iterations;
+            TlbCharge first_charge;
             if (fresh) {
-                const Job& job =
-                    jobs[static_cast<std::size_t>(plan.job)];
-                out.la_first_cycles = job.la_first.total();
-                out.la_warm_cycles = job.la_warm.total();
-            } else {
-                out.la_warm_cycles = warm_price[i];
+                first_charge = streamTlbCharge(
+                    summary->load_strides, summary->store_strides,
+                    options_.tlb, iterations, /*first_invocation=*/true);
+                out.la_first_cycles =
+                    persist::summaryLoopCost(*summary, la, iterations,
+                                             /*first_invocation=*/true)
+                        .total() +
+                    first_charge.cycles;
             }
-            // TLB model (opt-in): page-walk charges ride the LA prices
-            // -- execution-side, so translation phase cycles still
-            // telescope.  The strides come from the live analysis or
-            // the persisted summary; both carry the same values, so
-            // cold-run and warm-start pricing agree bit for bit.
+            const TlbCharge warm_charge = streamTlbCharge(
+                summary->load_strides, summary->store_strides,
+                options_.tlb, iterations, /*first_invocation=*/false);
+            out.la_warm_cycles =
+                persist::summaryLoopCost(*summary, la, iterations,
+                                         /*first_invocation=*/false)
+                    .total() +
+                warm_charge.cycles;
             if (options_.tlb.enabled) {
-                const std::int64_t iterations =
-                    admitted[i].request.iterations;
-                TlbCharge first_charge;
-                TlbCharge warm_charge;
-                if (tr != nullptr) {
-                    if (fresh) {
-                        first_charge = streamTlbCharge(
-                            tr->analysis, options_.tlb, iterations,
-                            /*first_invocation=*/true);
-                    }
-                    warm_charge = streamTlbCharge(
-                        tr->analysis, options_.tlb, iterations,
-                        /*first_invocation=*/false);
-                } else if (summary != nullptr) {
-                    warm_charge = streamTlbCharge(
-                        summary->load_strides, summary->store_strides,
-                        options_.tlb, iterations,
-                        /*first_invocation=*/false);
-                }
-                out.la_first_cycles += first_charge.cycles;
-                out.la_warm_cycles += warm_charge.cycles;
                 const std::int64_t pages =
                     first_charge.pages + warm_charge.pages;
                 const std::int64_t walks =
@@ -990,8 +855,7 @@ TranslationService::drainTick()
             report_.la_first_cycles += out.la_first_cycles;
             report_.la_warm_cycles += out.la_warm_cycles;
             out.la_wins = out.la_warm_cycles < out.cpu_cycles;
-        } else if (plan.cache != CacheOutcome::kQuarantined &&
-                   (tr != nullptr || summary != nullptr)) {
+        } else if (summary != nullptr) {
             ++tenant.translate_reject;
             ++report_.rejects[toString(out.reject)];
             if (registry_ != nullptr) {

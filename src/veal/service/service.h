@@ -23,11 +23,14 @@
  * --batch.  Mechanism: every submission gets a sequence number; each
  * tick runs a sequential planning pass (sequence order) that fixes the
  * taxonomy and the translation work-list, a parallel shard phase that
- * only computes pure functions (translate + price), and a sequential
- * index-ordered reduction that does *all* accounting and warm-tier
- * publication in sequence order.  Pricing rides the PR-6 batch engine,
- * whose grouping-invariance guarantee makes shard/batch partitioning
- * semantically invisible.
+ * only computes pure functions (translate + summarize + CPU price), and
+ * a sequential index-ordered reduction that does *all* accounting,
+ * LA pricing and warm-tier publication in sequence order.  CPU pricing
+ * rides the batch engine, whose grouping-invariance guarantee makes
+ * shard/batch partitioning semantically invisible.  Every LA price --
+ * fresh, coalesced, warm or persisted serve -- comes from the serving
+ * translation's persist::TranslationSummary through
+ * persist::summaryLoopCost(), so all serves of a key price alike.
  */
 
 #include <atomic>
@@ -72,7 +75,8 @@ struct ServiceOptions {
      */
     int threads = 1;
 
-    /** Pricing lanes per BatchSimulator call.  Never affects results. */
+    /** CPU pricing lanes per BatchSimulator call.  Never affects
+        results. */
     int batch = 16;
 
     /** Bounded request queue depth (admission control). */
@@ -349,7 +353,8 @@ class TranslationService {
     /**
      * Drain everything admitted since the last drain as one tick:
      * sequential planning (taxonomy + work-list), parallel shard phase
-     * (translate + price), sequential reduction (all accounting).
+     * (translate + CPU price), sequential reduction (LA pricing and all
+     * accounting).
      */
     void drainTick();
 
@@ -436,7 +441,6 @@ class TranslationService {
     std::unique_ptr<persist::PersistentStore> persistent_;
     std::vector<std::unique_ptr<CodeCache>> shard_caches_;
     std::vector<std::unique_ptr<BatchSimulator>> shard_sims_;
-    BatchSimulator reduction_sim_;
 
     /** Fleet mode (engaged when options_.fleet is set and non-empty). */
     bool fleetEnabled() const { return scorer_.has_value(); }

@@ -1,10 +1,33 @@
 #include "veal/sim/la_timing.h"
 
-#include <algorithm>
-
 #include "veal/support/assert.h"
 
 namespace veal {
+
+LaInvocationCost
+laInvocationCost(const LaCostScalars& scalars, const LaConfig& config,
+                 std::int64_t iterations, bool first_invocation)
+{
+    VEAL_ASSERT(iterations >= 1);
+    LaInvocationCost cost;
+
+    // --- Setup: bus handshake, then memory-mapped configuration writes
+    // (one control word per scheduled FU unit, two per stream context).
+    // Scalar live-ins/constants are written into the register file
+    // before every invocation (their values may change between
+    // invocations).
+    cost.setup_cycles = config.bus_latency;
+    if (first_invocation)
+        cost.setup_cycles += scalars.fu_units + 2 * scalars.streams;
+    cost.setup_cycles += 2 * scalars.live_in_regs;
+
+    // --- Software-pipelined execution.
+    cost.pipeline_cycles = (iterations - 1) * scalars.ii + scalars.length;
+
+    // --- Drain: scalar results cross back over the bus.
+    cost.drain_cycles = config.bus_latency + 2 * scalars.live_outs;
+    return cost;
+}
 
 LaInvocationCost
 acceleratorLoopCost(const Schedule& schedule, const SchedGraph& graph,
@@ -13,37 +36,17 @@ acceleratorLoopCost(const Schedule& schedule, const SchedGraph& graph,
                     const LaConfig& config, std::int64_t iterations,
                     bool first_invocation)
 {
-    VEAL_ASSERT(iterations >= 1);
-    LaInvocationCost cost;
-
-    // --- Setup: bus handshake, then memory-mapped configuration writes.
-    cost.setup_cycles = config.bus_latency;
-    if (first_invocation) {
-        // One control word per scheduled FU unit, one per stream context.
-        const auto num_streams =
-            static_cast<std::int64_t>(analysis.load_streams.size() +
-                                      analysis.store_streams.size());
-        cost.setup_cycles += graph.numFuUnits() + 2 * num_streams;
-    }
-    // Scalar live-ins/constants are written into the register file before
-    // every invocation (their values may change between invocations).
-    std::int64_t live_in_regs = 0;
+    LaCostScalars scalars;
+    scalars.fu_units = graph.numFuUnits();
+    scalars.streams = static_cast<std::int64_t>(
+        analysis.load_streams.size() + analysis.store_streams.size());
     for (const int reg : registers.reg_of_source_op)
-        live_in_regs += reg >= 0 ? 1 : 0;
-    cost.setup_cycles += 2 * live_in_regs;
-
-    // --- Software-pipelined execution.
-    cost.pipeline_cycles =
-        (iterations - 1) * static_cast<std::int64_t>(schedule.ii) +
-        schedule.length;
-
-    // --- Drain: scalar results cross back over the bus.
-    std::int64_t live_outs = 0;
+        scalars.live_in_regs += reg >= 0 ? 1 : 0;
     for (const auto& unit : graph.units())
-        live_outs += unit.is_live_out ? 1 : 0;
-    cost.drain_cycles = config.bus_latency + 2 * live_outs;
-
-    return cost;
+        scalars.live_outs += unit.is_live_out ? 1 : 0;
+    scalars.ii = schedule.ii;
+    scalars.length = schedule.length;
+    return laInvocationCost(scalars, config, iterations, first_invocation);
 }
 
 }  // namespace veal

@@ -37,10 +37,32 @@ struct LaInvocationCost {
 };
 
 /**
- * Cycles for one invocation of a translated loop running @p iterations
- * iterations.  @p first_invocation adds the control-transfer cost; a
- * loop re-invoked while its control is still loaded skips it.
+ * The six scalars of a translated loop the cost model reads.  Both
+ * pricing entry points derive them -- acceleratorLoopCost() from the
+ * live schedule, persist::summaryLoopCost() from a stored summary --
+ * and hand them to laInvocationCost(), the one copy of the formula.
  */
+struct LaCostScalars {
+    std::int64_t fu_units = 0;      ///< Scheduled FU units (control words).
+    std::int64_t streams = 0;       ///< Load + store stream contexts.
+    std::int64_t live_in_regs = 0;  ///< Registers written per invocation.
+    std::int64_t live_outs = 0;     ///< Scalar results drained per invocation.
+    std::int64_t ii = 0;
+    std::int64_t length = 0;        ///< Schedule length of one iteration.
+};
+
+/**
+ * Cycles for one invocation of a loop with shape @p scalars running
+ * @p iterations iterations.  @p first_invocation adds the control-
+ * transfer cost; a loop re-invoked while its control is still loaded
+ * skips it.
+ */
+LaInvocationCost laInvocationCost(const LaCostScalars& scalars,
+                                  const LaConfig& config,
+                                  std::int64_t iterations,
+                                  bool first_invocation);
+
+/** laInvocationCost() over the scalars of a live translation. */
 LaInvocationCost acceleratorLoopCost(const Schedule& schedule,
                                      const SchedGraph& graph,
                                      const LoopAnalysis& analysis,

@@ -191,23 +191,15 @@ summaryLoopCost(const TranslationSummary& summary, const LaConfig& config,
                 std::int64_t iterations, bool first_invocation)
 {
     VEAL_ASSERT(summary.ok, "pricing a rejected summary");
-    VEAL_ASSERT(iterations >= 1);
-    // Mirrors acceleratorLoopCost() term by term; the differential test
-    // in persist_blob_test pins the bit-equality.
-    LaInvocationCost cost;
-    cost.setup_cycles = config.bus_latency;
-    if (first_invocation) {
-        const auto num_streams = static_cast<std::int64_t>(
-            summary.load_strides.size() + summary.store_strides.size());
-        cost.setup_cycles += summary.fu_units + 2 * num_streams;
-    }
-    cost.setup_cycles += 2 * static_cast<std::int64_t>(summary.live_in_regs);
-    cost.pipeline_cycles =
-        (iterations - 1) * static_cast<std::int64_t>(summary.ii) +
-        summary.length;
-    cost.drain_cycles =
-        config.bus_latency + 2 * static_cast<std::int64_t>(summary.live_outs);
-    return cost;
+    LaCostScalars scalars;
+    scalars.fu_units = summary.fu_units;
+    scalars.streams = static_cast<std::int64_t>(
+        summary.load_strides.size() + summary.store_strides.size());
+    scalars.live_in_regs = summary.live_in_regs;
+    scalars.live_outs = summary.live_outs;
+    scalars.ii = summary.ii;
+    scalars.length = summary.length;
+    return laInvocationCost(scalars, config, iterations, first_invocation);
 }
 
 std::vector<std::uint8_t>

@@ -11,10 +11,12 @@
  * of a `TranslationResult` to serve the key on the next run without
  * re-translating: the encoded `ControlImage` words plus a
  * `TranslationSummary` -- the handful of scalars the analytic LA cost
- * model (sim/la_timing) actually reads.  `summaryLoopCost()` reproduces
- * `acceleratorLoopCost()` bit-exactly from the summary alone, which is
- * what makes warm-started service reports byte-identical to in-process
- * warm serves without persisting schedules or dataflow graphs.
+ * model (sim/la_timing) actually reads.  `summaryLoopCost()` feeds them
+ * to the same `laInvocationCost()` formula `acceleratorLoopCost()`
+ * uses, so a summary prices exactly like the translation it came from;
+ * the service prices every serve that way, which is what makes
+ * warm-started reports byte-identical to in-process runs without
+ * persisting schedules or dataflow graphs.
  *
  * Negative results persist too (ok == false with the reject reason), so
  * a key that rejected translation stays rejected across restarts
@@ -120,9 +122,9 @@ struct TranslationSummary {
 TranslationSummary summarize(const TranslationResult& translation);
 
 /**
- * Invocation cost computed from the summary alone -- bit-identical to
- * acceleratorLoopCost() on the summarized translation (pinned by a
- * differential test).  @p summary must be ok.
+ * Invocation cost computed from the summary alone: laInvocationCost()
+ * over the summary's scalars, so equal to acceleratorLoopCost() on the
+ * summarized translation.  @p summary must be ok.
  */
 LaInvocationCost summaryLoopCost(const TranslationSummary& summary,
                                  const LaConfig& config,

@@ -22,15 +22,61 @@ VirtualMachine::VirtualMachine(LaConfig la, CpuConfig baseline,
 
 namespace {
 
+/** LA invocation prices of one translated piece, TLB included. */
+struct LaPiecePrice {
+    std::int64_t first = 0;  ///< Cache-miss invocation cost.
+    std::int64_t warm = 0;   ///< Cache-hit invocation cost.
+    TlbCharge tlb_first;     ///< TLB share of `first`.
+    TlbCharge tlb_warm;      ///< TLB share of `warm`.
+};
+
+/**
+ * Price @p translation (ok) for @p iterations-iteration invocations.
+ * The TLB surcharge (zero when the model is off) rides on both prices,
+ * so the path choice and the cache fixed point see TLB pressure exactly
+ * like any other cycle.
+ */
+LaPiecePrice
+priceOnLa(const TranslationResult& translation, const LaConfig& la,
+          const TlbConfig& tlb, std::int64_t iterations)
+{
+    VEAL_ASSERT(translation.ok && translation.graph.has_value());
+    const auto invocation = [&](bool first) {
+        return acceleratorLoopCost(translation.schedule, *translation.graph,
+                                   translation.analysis,
+                                   translation.registers, la, iterations,
+                                   first)
+            .total();
+    };
+    LaPiecePrice price;
+    price.tlb_first = streamTlbCharge(translation.analysis, tlb, iterations,
+                                      /*first_invocation=*/true);
+    price.tlb_warm = streamTlbCharge(translation.analysis, tlb, iterations,
+                                     /*first_invocation=*/false);
+    price.first = invocation(true) + price.tlb_first.cycles;
+    price.warm = invocation(false) + price.tlb_warm.cycles;
+    return price;
+}
+
+/** Meter @p misses first and @p hits warm invocations' TLB charges. */
+void
+meterTlb(metrics::Registry& registry, const LaPiecePrice& price,
+         std::int64_t misses, std::int64_t hits)
+{
+    registry.add("vm.tlb.pages",
+                 misses * price.tlb_first.pages + hits * price.tlb_warm.pages);
+    registry.add("vm.tlb.walks",
+                 misses * price.tlb_first.walks + hits * price.tlb_warm.walks);
+    registry.add("vm.tlb.cycles", misses * price.tlb_first.cycles +
+                                      hits * price.tlb_warm.cycles);
+}
+
 /** Everything the VM derives for one translated piece of one site. */
 struct PiecePlan {
     const Loop* loop = nullptr;
     TranslationResult translation;
     std::int64_t cpu_cycles_per_invocation = 0;
-    std::int64_t la_first_invocation = 0;  ///< Cache-miss invocation cost.
-    std::int64_t la_warm_invocation = 0;   ///< Cache-hit invocation cost.
-    TlbCharge tlb_first;  ///< TLB share of la_first_invocation.
-    TlbCharge tlb_warm;   ///< TLB share of la_warm_invocation.
+    LaPiecePrice la;  ///< Translated-ok pieces only.
 };
 
 /** Rejects the degradation ladder can recover from; anything else (bad
@@ -90,40 +136,27 @@ VirtualMachine::run(const Application& app,
             }
             piece.translation =
                 translateLoop(*loop, la_, options_.mode, annotations_ptr);
+            if (piece.translation.ok) {
+                piece.la = priceOnLa(piece.translation, la_, options_.tlb,
+                                     site.iterations);
+            }
             plan.pieces.push_back(std::move(piece));
         }
         plans.push_back(std::move(plan));
     }
 
-    // Price every execution path through the batch engine: all pieces
-    // of all sites (plus the fissioned sites' unfissioned baselines)
-    // become lanes of one simulateCpuBatch() call, and every translated
-    // piece's first/warm invocation charges become lanes of one
-    // acceleratorCostBatch() call.  Bit-identical to per-call pricing.
+    // Price the CPU paths through the batch engine: all pieces of all
+    // sites (plus the fissioned sites' unfissioned baselines) become
+    // lanes of one simulateCpuBatch() call.  Bit-identical to per-call
+    // pricing.
     {
-        BatchSimulator simulator;
         std::vector<CpuSimRequest> cpu_requests;
         std::vector<std::int64_t*> cpu_fills;
-        std::vector<LaCostRequest> la_requests;
-        std::vector<std::int64_t*> la_fills;
         for (auto& plan : plans) {
             const std::int64_t iterations = plan.site->iterations;
             for (auto& piece : plan.pieces) {
                 cpu_requests.push_back({piece.loop, iterations});
                 cpu_fills.push_back(&piece.cpu_cycles_per_invocation);
-                if (piece.translation.ok) {
-                    const auto& tr = piece.translation;
-                    la_requests.push_back({&tr.schedule, &*tr.graph,
-                                           &tr.analysis, &tr.registers,
-                                           iterations,
-                                           /*first_invocation=*/true});
-                    la_fills.push_back(&piece.la_first_invocation);
-                    la_requests.push_back({&tr.schedule, &*tr.graph,
-                                           &tr.analysis, &tr.registers,
-                                           iterations,
-                                           /*first_invocation=*/false});
-                    la_fills.push_back(&piece.la_warm_invocation);
-                }
             }
             // An unfissioned site's only piece *is* site.loop; reuse its
             // lane instead of adding one for the baseline.
@@ -133,32 +166,9 @@ VirtualMachine::run(const Application& app,
                     &plan.baseline_cpu_cycles_per_invocation);
             }
         }
-        const auto timings = simulator.simulateCpuBatch(cpu_, cpu_requests);
+        const auto timings = simulateCpuBatch(cpu_, cpu_requests);
         for (std::size_t i = 0; i < cpu_fills.size(); ++i)
             *cpu_fills[i] = timings[i].total_cycles;
-        const auto charges = simulator.acceleratorCostBatch(la_, la_requests);
-        for (std::size_t i = 0; i < la_fills.size(); ++i)
-            *la_fills[i] = charges[i].total();
-        // TLB surcharge (opt-in): page-walk stalls ride on the
-        // invocation prices, so laWins() and the cache fixed point
-        // below see TLB pressure exactly like any other cycle.
-        if (options_.tlb.enabled) {
-            for (auto& plan : plans) {
-                const std::int64_t iterations = plan.site->iterations;
-                for (auto& piece : plan.pieces) {
-                    if (!piece.translation.ok)
-                        continue;
-                    piece.tlb_first = streamTlbCharge(
-                        piece.translation.analysis, options_.tlb,
-                        iterations, /*first_invocation=*/true);
-                    piece.tlb_warm = streamTlbCharge(
-                        piece.translation.analysis, options_.tlb,
-                        iterations, /*first_invocation=*/false);
-                    piece.la_first_invocation += piece.tlb_first.cycles;
-                    piece.la_warm_invocation += piece.tlb_warm.cycles;
-                }
-            }
-        }
         for (auto& plan : plans) {
             if (plan.site->fissioned.empty()) {
                 plan.baseline_cpu_cycles_per_invocation =
@@ -185,8 +195,8 @@ VirtualMachine::run(const Application& app,
                             bool fits) {
         const std::int64_t misses = missesFor(*plan.site, fits);
         const std::int64_t hits = plan.site->invocations - misses;
-        const std::int64_t la_total = misses * piece.la_first_invocation +
-                                      hits * piece.la_warm_invocation;
+        const std::int64_t la_total =
+            misses * piece.la.first + hits * piece.la.warm;
         return la_total <=
                piece.cpu_cycles_per_invocation * plan.site->invocations;
     };
@@ -315,8 +325,7 @@ VirtualMachine::run(const Application& app,
             if (la_path) {
                 site_result.accelerated = true;
                 site_result.actual_cycles +=
-                    misses * piece.la_first_invocation +
-                    hits * piece.la_warm_invocation;
+                    misses * piece.la.first + hits * piece.la.warm;
                 site_result.translations += misses;
                 site_result.instructions_per_translation =
                     tr.meter.totalInstructions();
@@ -332,17 +341,8 @@ VirtualMachine::run(const Application& app,
                     registry->observe("vm.ii", tr.schedule.ii);
                     registry->trace(trace_scope, "path", "la",
                                     tr.schedule.ii);
-                    if (options_.tlb.enabled) {
-                        registry->add("vm.tlb.pages",
-                                      misses * piece.tlb_first.pages +
-                                          hits * piece.tlb_warm.pages);
-                        registry->add("vm.tlb.walks",
-                                      misses * piece.tlb_first.walks +
-                                          hits * piece.tlb_warm.walks);
-                        registry->add("vm.tlb.cycles",
-                                      misses * piece.tlb_first.cycles +
-                                          hits * piece.tlb_warm.cycles);
-                    }
+                    if (options_.tlb.enabled)
+                        meterTlb(*registry, piece.la, misses, hits);
                 }
             } else {
                 site_result.actual_cycles +=
@@ -412,8 +412,7 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
         TranslationResult translation;
         DegradationRung rung = DegradationRung::kNominal;
         std::int64_t cpu_cycles_per_invocation = 0;
-        std::int64_t la_first_invocation = 0;
-        std::int64_t la_warm_invocation = 0;
+        LaPiecePrice la;
         std::string key;
         // Dispatch-time recovery state.  Deliberately *not* stored with
         // the cached image: quarantine must survive eviction.
@@ -523,21 +522,20 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
         for (auto& piece : hs.pieces) {
             piece.key =
                 std::to_string(site_index) + "/" + piece.loop->name();
+            piece.la = priceOnLa(piece.translation, la_, options_.tlb,
+                                 site.iterations);
         }
         sites.push_back(std::move(hs));
     }
 
-    // Price the surviving pieces through the batch engine (one lane per
-    // piece, per pinned site, and per fissioned site's unfissioned
-    // baseline; two LA lanes per translated piece).  Bit-identical to
-    // per-call pricing; pointers are taken only now, after the sites
-    // vector has stopped moving.
+    // Price the surviving pieces' CPU paths through the batch engine
+    // (one lane per piece, per pinned site, and per fissioned site's
+    // unfissioned baseline).  Bit-identical to per-call pricing;
+    // pointers are taken only now, after the sites vector has stopped
+    // moving.
     {
-        BatchSimulator simulator;
         std::vector<CpuSimRequest> cpu_requests;
         std::vector<std::int64_t*> cpu_fills;
-        std::vector<LaCostRequest> la_requests;
-        std::vector<std::int64_t*> la_fills;
         for (auto& hs : sites) {
             const std::int64_t iterations = hs.site->iterations;
             if (hs.pinned) {
@@ -547,17 +545,6 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
             for (auto& piece : hs.pieces) {
                 cpu_requests.push_back({piece.loop, iterations});
                 cpu_fills.push_back(&piece.cpu_cycles_per_invocation);
-                const auto& tr = piece.translation;
-                la_requests.push_back({&tr.schedule, &*tr.graph,
-                                       &tr.analysis, &tr.registers,
-                                       iterations,
-                                       /*first_invocation=*/true});
-                la_fills.push_back(&piece.la_first_invocation);
-                la_requests.push_back({&tr.schedule, &*tr.graph,
-                                       &tr.analysis, &tr.registers,
-                                       iterations,
-                                       /*first_invocation=*/false});
-                la_fills.push_back(&piece.la_warm_invocation);
             }
             // A pinned site's baseline reuses the pinned lane, and an
             // unfissioned single piece *is* site.loop; only a fissioned,
@@ -570,12 +557,9 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                     &hs.baseline_cpu_cycles_per_invocation);
             }
         }
-        const auto timings = simulator.simulateCpuBatch(cpu_, cpu_requests);
+        const auto timings = simulateCpuBatch(cpu_, cpu_requests);
         for (std::size_t i = 0; i < cpu_fills.size(); ++i)
             *cpu_fills[i] = timings[i].total_cycles;
-        const auto charges = simulator.acceleratorCostBatch(la_, la_requests);
-        for (std::size_t i = 0; i < la_fills.size(); ++i)
-            *la_fills[i] = charges[i].total();
         for (auto& hs : sites) {
             if (hs.pinned) {
                 hs.baseline_cpu_cycles_per_invocation =
@@ -752,8 +736,8 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                     tr.meter.totalInstructions();
             }
             site_result.actual_cycles +=
-                piece.cache_misses * piece.la_first_invocation +
-                piece.cache_hits * piece.la_warm_invocation +
+                piece.cache_misses * piece.la.first +
+                piece.cache_hits * piece.la.warm +
                 piece.cpu_dispatches * piece.cpu_cycles_per_invocation;
             out.cache_hits += piece.cache_hits;
             out.cache_misses += piece.cache_misses;
@@ -762,6 +746,10 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                 registry->add("vm.translate.ok");
                 registry->add("vm.translations", piece.cache_misses);
                 registry->observe("vm.ii", tr.schedule.ii);
+                if (options_.tlb.enabled) {
+                    meterTlb(*registry, piece.la, piece.cache_misses,
+                             piece.cache_hits);
+                }
                 if (metered && piece.cache_misses > 0) {
                     const std::int64_t charged =
                         metrics::chargePhaseCycles(

@@ -201,7 +201,9 @@ class VirtualMachine {
      * CodeCache) rather than modelled, LA-ok pieces always take the LA
      * path, and VmOptions::retranslation_rate / penalty_override do not
      * apply -- this overload answers "does the VM survive faults", not
-     * Figure 6's analytic sweep.
+     * Figure 6's analytic sweep.  VmOptions::tlb does apply: LA
+     * dispatches are priced and metered ("vm.tlb.*") exactly as in the
+     * nominal overload.
      */
     AppRunResult run(const Application& app, metrics::Registry* registry,
                      FaultInjector* faults,

@@ -5,25 +5,13 @@
 namespace veal {
 
 void
-WarmTier::publish(const std::string& key, TranslationResult translation,
+WarmTier::publish(const std::string& key,
+                  const TranslationResult& translation,
                   std::optional<ControlImage> image, std::int64_t epoch,
                   std::int64_t sequence, int backend)
 {
-    auto entry = std::make_shared<Entry>();
-    entry->translation = std::move(translation);
-    entry->image = std::move(image);
-    if (entry->image.has_value())
-        entry->expected_checksum = entry->image->checksum();
-    entry->epoch = epoch;
-    entry->sequence = sequence;
-    entry->backend = backend;
-
-    const auto [it, inserted] =
-        entries_.insert_or_assign(key, std::move(entry));
-    (void)it;
-    ++publishes_;
-    if (!inserted)
-        ++republishes_;
+    publishSummary(key, persist::summarize(translation), std::move(image),
+                   epoch, sequence, backend);
 }
 
 void

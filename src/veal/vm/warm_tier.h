@@ -7,12 +7,18 @@
  *
  * The translation service (veal/service) gives each worker shard its
  * own LRU CodeCache, but a loop translated by shard A must never be
- * re-translated by shard B: once any shard finishes a translation, the
- * result (and its encoded control image + checksum) is published here,
+ * re-translated by shard B: once any shard finishes a translation, its
+ * summary (and its encoded control image + checksum) is published here,
  * and every shard consults the tier on a shard-local miss.  Negative
  * results are published too -- a key that rejected translation stays
  * rejected until invalidated, instead of burning a re-translation every
  * time a different tenant resubmits it.
+ *
+ * Like the paper's code cache, which keeps only the translated loop
+ * control, an entry holds no schedule or dataflow graph: just the
+ * persist::TranslationSummary the LA cost model prices from and the
+ * control image.  In-process translations and entries rehydrated from
+ * the persistent store are therefore the same kind of entry.
  *
  * Concurrency discipline (how the service keeps byte-identical output
  * at any shard/thread count): all writes -- publish() and invalidate()
@@ -42,44 +48,14 @@ namespace veal {
 /** Shared second-level translation cache; see file comment. */
 class WarmTier {
   public:
-    /**
-     * One published translation outcome.  Two flavors share the slot:
-     * in-process entries carry the full TranslationResult; entries
-     * rehydrated from the persistent store carry only the compact
-     * summary (summaryBacked() == true) -- pricing through
-     * persist::summaryLoopCost() is bit-identical, so serves cannot
-     * tell the difference.
-     */
+    /** One published translation outcome. */
     struct Entry {
-        /** Full result; `translation.ok == false` is a negative entry.
-            Untrustworthy when `summary` is set (default-constructed). */
-        TranslationResult translation;
-
-        /** Set for store-rehydrated entries; the pricing authority. */
-        std::optional<persist::TranslationSummary> summary;
-
-        bool
-        summaryBacked() const
-        {
-            return summary.has_value();
-        }
-
-        /** The serving verdict, whichever flavor backs the entry. */
-        bool
-        ok() const
-        {
-            return summary.has_value() ? summary->ok : translation.ok;
-        }
-
-        TranslationReject
-        reject() const
-        {
-            return summary.has_value() ? summary->reject
-                                       : translation.reject;
-        }
+        /** The pricing authority; `summary.ok == false` is a negative
+            entry. */
+        persist::TranslationSummary summary;
 
         /** Encoded image (successful entries only).  The fault layer
-            flips bits here in place; `translation` stays pristine. */
+            flips bits here in place; `summary` stays pristine. */
         std::optional<ControlImage> image;
 
         /** image->checksum() at publish time, validated on serves. */
@@ -111,20 +87,16 @@ class WarmTier {
         std::int64_t size = 0;
     };
 
-    /**
-     * Publish @p translation (with its pre-encoded @p image when ok)
-     * for @p key at (@p epoch, @p sequence).  Re-publishing an existing
-     * key (a re-translation after invalidation) replaces the entry.
-     */
-    void publish(const std::string& key, TranslationResult translation,
+    /** publishSummary() of persist::summarize(@p translation). */
+    void publish(const std::string& key,
+                 const TranslationResult& translation,
                  std::optional<ControlImage> image, std::int64_t epoch,
                  std::int64_t sequence, int backend = -1);
 
     /**
-     * Publish a store-rehydrated entry: the compact @p summary plus the
-     * validated @p image (successful entries only).  Serves and the
-     * fault layer's corruption probes treat it exactly like a full
-     * entry; only pricing reads the summary.
+     * Publish @p summary (with its encoded @p image when ok) for @p key
+     * at (@p epoch, @p sequence).  Re-publishing an existing key (a
+     * re-translation after invalidation) replaces the entry.
      */
     void publishSummary(const std::string& key,
                         persist::TranslationSummary summary,

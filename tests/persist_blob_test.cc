@@ -8,8 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "veal/arch/la_config.h"
+#include "veal/fleet/fleet.h"
 #include "veal/ir/random_loop.h"
-#include "veal/sim/la_timing.h"
+#include "veal/sim/reference.h"
 #include "veal/vm/control_image.h"
 #include "veal/vm/translator.h"
 
@@ -92,11 +93,13 @@ TEST(PersistBlob, NegativeResultRoundTrips)
 TEST(PersistBlob, SummaryCostMatchesAcceleratorCostBitExactly)
 {
     // The equality the whole persistence design leans on: pricing from
-    // the persisted summary reproduces acceleratorLoopCost() exactly,
-    // for many random translated loops, at several iteration counts,
-    // first and warm.  Any divergence would make warm-started service
-    // reports drift from in-process runs.
-    const LaConfig la = LaConfig::proposed();
+    // the persisted summary reproduces the frozen reference cost model
+    // exactly, for many random translated loops, at several iteration
+    // counts, first and warm, on two bus latencies.  Any divergence
+    // would make every service price drift from the paper's model.
+    const LaConfig configs[] = {LaConfig::proposed(),
+                                fleet::tinyIiConfig()};
+    ASSERT_NE(configs[0].bus_latency, configs[1].bus_latency);
     int checked = 0;
     for (std::uint64_t seed = 1; checked < 40 && seed < 400; ++seed) {
         const TranslationResult tr = translateSample(seed).translation;
@@ -104,20 +107,26 @@ TEST(PersistBlob, SummaryCostMatchesAcceleratorCostBitExactly)
             continue;
         ++checked;
         const TranslationSummary summary = summarize(tr);
-        for (const std::int64_t iterations : {1, 2, 12, 100, 4096}) {
-            for (const bool first : {true, false}) {
-                const LaInvocationCost expect = acceleratorLoopCost(
-                    tr.schedule, *tr.graph, tr.analysis, tr.registers,
-                    la, iterations, first);
-                const LaInvocationCost got =
-                    summaryLoopCost(summary, la, iterations, first);
-                ASSERT_EQ(got.setup_cycles, expect.setup_cycles)
-                    << "seed " << seed << " iters " << iterations;
-                ASSERT_EQ(got.pipeline_cycles, expect.pipeline_cycles)
-                    << "seed " << seed << " iters " << iterations;
-                ASSERT_EQ(got.drain_cycles, expect.drain_cycles)
-                    << "seed " << seed << " iters " << iterations;
-                ASSERT_EQ(got.total(), expect.total());
+        for (const LaConfig& la : configs) {
+            for (const std::int64_t iterations : {1, 2, 12, 100, 4096}) {
+                for (const bool first : {true, false}) {
+                    const LaInvocationCost expect =
+                        reference::acceleratorLoopCost(
+                            tr.schedule, *tr.graph, tr.analysis,
+                            tr.registers, la, iterations, first);
+                    const LaInvocationCost got =
+                        summaryLoopCost(summary, la, iterations, first);
+                    ASSERT_EQ(got.setup_cycles, expect.setup_cycles)
+                        << la.name << " seed " << seed << " iters "
+                        << iterations;
+                    ASSERT_EQ(got.pipeline_cycles, expect.pipeline_cycles)
+                        << la.name << " seed " << seed << " iters "
+                        << iterations;
+                    ASSERT_EQ(got.drain_cycles, expect.drain_cycles)
+                        << la.name << " seed " << seed << " iters "
+                        << iterations;
+                    ASSERT_EQ(got.total(), expect.total());
+                }
             }
         }
     }

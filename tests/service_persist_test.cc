@@ -355,12 +355,14 @@ TEST_F(ServicePersistTest, TlbChargesAreOffByDefaultAndMeteredWhenOn)
 
     // A warm start prices TLB from the persisted summary strides.  It
     // charges no first-invocation walks (nothing translates), so its
-    // totals sit below the cold TLB run -- but warm restarts agree with
-    // each other bit for bit.
+    // totals sit below the cold TLB run -- but every warm price equals
+    // the in-process one, and warm restarts agree with each other bit
+    // for bit.
     const RunResult on_warm1 = runService(trace, with_tlb);
     const RunResult on_warm2 = runService(trace, with_tlb);
     EXPECT_GT(on_warm1.report.tlb_cycles, 0);
     EXPECT_LT(on_warm1.report.tlb_walks, on.report.tlb_walks);
+    EXPECT_EQ(on_warm1.report.la_warm_cycles, on.report.la_warm_cycles);
     EXPECT_EQ(on_warm1.render, on_warm2.render);
     EXPECT_EQ(on_warm1.metrics, on_warm2.metrics);
 }

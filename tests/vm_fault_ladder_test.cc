@@ -5,6 +5,7 @@
 #include "veal/arch/cpu_config.h"
 #include "veal/fault/fault_injector.h"
 #include "veal/fault/fault_plan.h"
+#include "veal/support/metrics/metrics.h"
 #include "veal/workloads/kernels.h"
 
 namespace veal {
@@ -90,6 +91,32 @@ TEST(DegradationLadder, NoArmedFaultStaysNominal)
     EXPECT_EQ(report.cpu_dispatches, 0);
     EXPECT_EQ(report.checksum_invalidations, 0);
     EXPECT_EQ(report.quarantines, 0);
+}
+
+TEST(DegradationLadder, HardenedRunChargesAndMetersTheTlb)
+{
+    // A one-page TLB re-walks on every warm invocation, so the same
+    // fault-free hardened run must price more LA cycles with the model
+    // on than off, and meter the difference as vm.tlb.*.
+    const Application app = singleSiteApp(4);
+    const auto run = [&](const TlbConfig& tlb, metrics::Registry* registry) {
+        VmOptions options;
+        options.tlb = tlb;
+        const VirtualMachine vm(LaConfig::proposed(), CpuConfig::arm11(),
+                                options);
+        FaultInjector injector(FaultPlan{});
+        return vm.run(app, registry, &injector);
+    };
+    TlbConfig tiny = TlbConfig::proposed();
+    tiny.entries = 1;
+    metrics::Registry registry;
+    const AppRunResult off = run(TlbConfig::off(), nullptr);
+    const AppRunResult on = run(tiny, &registry);
+    EXPECT_GT(on.accelerated_cycles, off.accelerated_cycles);
+    EXPECT_EQ(on.translation_cycles, off.translation_cycles);
+    EXPECT_EQ(registry.counter("vm.tlb.cycles"),
+              on.accelerated_cycles - off.accelerated_cycles);
+    EXPECT_GT(registry.counter("vm.tlb.walks"), 0);
 }
 
 TEST(ChecksumValidation, QuarantinesAfterPlanStrikes)

@@ -73,7 +73,7 @@ usage()
         "  --shards N      worker shards, each with a private code cache\n"
         "                  (default 2)\n"
         "  --threads N     pool width for the shard phase (default 1)\n"
-        "  --batch N       pricing lanes per batch call (default 16)\n"
+        "  --batch N       CPU pricing lanes per batch call (default 16)\n"
         "admission control:\n"
         "  --quota N       per-tenant in-flight quota per tick (default 8)\n"
         "  --queue-depth N bounded request queue depth (default 64)\n"
