@@ -243,7 +243,9 @@ TranslationService::drainTick()
 
     // ---- Phase 1: sequential planning, in sequence order.  Fixes the
     // logical cache taxonomy (which is therefore shard-count invariant)
-    // and the fresh-translation work list; performs every warm-tier
+    // and the fresh-translation work list; prices the baseline CPU of
+    // every request whose key's warm entry holds a covering CpuProfile
+    // (the rest become phase-2 CPU lanes); performs every warm-tier
     // WRITE of the consult path (invalidations) so the parallel phase
     // below only ever reads.
     struct Job {
@@ -276,8 +278,21 @@ TranslationService::drainTick()
         int spill_rank = 0;      ///< Candidate rank the placement took.
         enum class ScoreSource { kNone, kComputed, kWarm, kPersisted };
         ScoreSource score_source = ScoreSource::kNone;
+        int cpu_lane = -1;  ///< Into cpu_lanes (-1: priced in planning).
     };
     std::vector<PlanInfo> plans(admitted.size());
+    std::vector<std::int64_t> cpu_cycles(admitted.size(), 0);
+    std::vector<std::size_t> cpu_lanes;  // Admitted indices, in order.
+    const auto price_cpu = [&](std::size_t i,
+                               const WarmTier::Entry* entry) {
+        const std::int64_t iterations = admitted[i].request.iterations;
+        if (entry != nullptr && entry->cpu_profile.covers(iterations)) {
+            cpu_cycles[i] = entry->cpu_profile.totalAt(iterations);
+        } else {
+            plans[i].cpu_lane = static_cast<int>(cpu_lanes.size());
+            cpu_lanes.push_back(i);
+        }
+    };
     std::vector<Job> jobs;
     std::map<std::string, int> tick_provider;  // key -> job index.
     // One store load per key per tick: later same-tick requests share
@@ -291,6 +306,7 @@ TranslationService::drainTick()
         const auto qkey = std::make_pair(request.tenant, request.key);
         if (quarantined_.count(qkey) != 0) {
             plan.cache = CacheOutcome::kQuarantined;
+            price_cpu(i, warm_.find(request.key).get());
             continue;
         }
 
@@ -301,8 +317,10 @@ TranslationService::drainTick()
         if (fleetEnabled())
             placement = steerer_->lookup(request.key);
 
+        WarmTier::EntryRef entry = warm_.serve(request.key);
+        price_cpu(i, entry.get());
         bool translate_needed = false;
-        if (auto entry = warm_.serve(request.key)) {
+        if (entry != nullptr) {
             // Warm consult: verify the control image first, exactly as
             // the hardened VM does before a cached dispatch.
             bool corrupted = false;
@@ -510,15 +528,15 @@ TranslationService::drainTick()
     }
 
     // ---- Phase 2: parallel shard phase.  Jobs round-robin over shards
-    // by job index; every shard touches only its own CodeCache and
-    // BatchSimulator, writes only its own jobs' fields and cpu_cycles
-    // slots, and reads the warm tier without mutating it.  Everything
-    // computed here is a pure function of the planned inputs, and the
-    // batch engine's grouping-invariance makes the shard/batch
-    // partition of the CPU pricing lanes semantically invisible.  LA
-    // prices are not computed here: the reduction reads them off each
-    // job's summary.
-    std::vector<std::int64_t> cpu_cycles(admitted.size(), 0);
+    // by index, CPU lanes by --batch block; every shard touches only its
+    // own CodeCache and BatchSimulator, writes only its own jobs' fields
+    // and its lanes' cpu_cycles and lane_profiles slots, and reads the
+    // warm tier without mutating it.  Everything computed here is a pure
+    // function of the planned inputs, and the batch engine's
+    // grouping-invariance makes the shard/batch partition of the CPU
+    // lanes semantically invisible.  LA prices are not computed here:
+    // the reduction reads them off each job's summary.
+    std::vector<CpuProfile> lane_profiles(cpu_lanes.size());
     const auto run_shard = [&](int shard) {
         BatchSimulator& sim =
             *shard_sims_[static_cast<std::size_t>(shard)];
@@ -552,29 +570,30 @@ TranslationService::drainTick()
             }
         }
 
-        // (b) Price the baseline-CPU path of this shard's slice of the
-        // admitted requests, in --batch blocks.
-        std::vector<std::size_t> mine;
-        for (std::size_t i = static_cast<std::size_t>(shard);
-             i < admitted.size(); i += static_cast<std::size_t>(shards))
-            mine.push_back(i);
-        for (std::size_t begin = 0; begin < mine.size(); begin += batch) {
-            const std::size_t end = std::min(begin + batch, mine.size());
+        // (b) Simulate this shard's --batch blocks of the uncovered CPU
+        // lanes, keeping each run's profile for the reduction.
+        std::vector<CpuProfile> profiles;
+        for (std::size_t begin = static_cast<std::size_t>(shard) * batch;
+             begin < cpu_lanes.size();
+             begin += static_cast<std::size_t>(shards) * batch) {
+            const std::size_t end =
+                std::min(begin + batch, cpu_lanes.size());
             std::vector<CpuSimRequest> lanes;
             lanes.reserve(end - begin);
-            for (std::size_t k = begin; k < end; ++k) {
-                CpuSimRequest lane;
-                lane.loop = &admitted[mine[k]].request.loop;
-                lane.iterations = admitted[mine[k]].request.iterations;
-                lanes.push_back(lane);
+            for (std::size_t l = begin; l < end; ++l) {
+                const ServiceRequest& request =
+                    admitted[cpu_lanes[l]].request;
+                lanes.push_back({&request.loop, request.iterations});
             }
             const auto timings =
-                sim.simulateCpuBatch(options_.cpu, lanes);
-            for (std::size_t k = begin; k < end; ++k)
-                cpu_cycles[mine[k]] = timings[k - begin].total_cycles;
+                sim.simulateCpuBatch(options_.cpu, lanes, &profiles);
+            for (std::size_t l = begin; l < end; ++l) {
+                cpu_cycles[cpu_lanes[l]] = timings[l - begin].total_cycles;
+                lane_profiles[l] = std::move(profiles[l - begin]);
+            }
         }
     };
-    if (!admitted.empty()) {
+    if (!jobs.empty() || !cpu_lanes.empty()) {
         if (options_.threads > 1) {
             if (pool_ == nullptr) {
                 pool_ =
@@ -589,10 +608,10 @@ TranslationService::drainTick()
 
     // ---- Phase 3: index-ordered reduction over the full submission
     // log (rejections included), in sequence order.  ALL accounting --
-    // registry counters, tenant digests, warm-tier publication, LA
-    // pricing from the serving summary -- lives here, which is the
-    // whole determinism argument: nothing observable depends on how
-    // phase 2 was partitioned.
+    // registry counters, tenant digests, warm-tier publication and CPU
+    // profile memoization, LA pricing from the serving summary -- lives
+    // here, which is the whole determinism argument: nothing observable
+    // depends on how phase 2 was partitioned.
     last_tick_outcomes_.clear();
     std::int64_t audited_cycles = 0;
     std::int64_t charged_cycles = 0;
@@ -793,6 +812,13 @@ TranslationService::drainTick()
                 jobs[static_cast<std::size_t>(plan.provider_job)];
             summary = &provider.summary;
             out.rung = provider.ladder.rung;
+        }
+        // Memoize this request's CPU run on the key's entry (just
+        // published, rehydrated or long resident) for later requests.
+        if (plan.cpu_lane >= 0) {
+            warm_.offerCpuProfile(
+                log.key, std::move(lane_profiles[static_cast<std::size_t>(
+                             plan.cpu_lane)]));
         }
 
         if (summary != nullptr) {

@@ -22,11 +22,13 @@
  * the cache-hit taxonomy are byte-identical at any --shards/--threads/
  * --batch.  Mechanism: every submission gets a sequence number; each
  * tick runs a sequential planning pass (sequence order) that fixes the
- * taxonomy and the translation work-list, a parallel shard phase that
- * only computes pure functions (translate + summarize + CPU price), and
- * a sequential index-ordered reduction that does *all* accounting,
- * LA pricing and warm-tier publication in sequence order.  CPU pricing
- * rides the batch engine, whose grouping-invariance guarantee makes
+ * taxonomy and the translation work-list and prices the baseline CPU of
+ * every request its key's warm-tier CpuProfile covers, a parallel shard
+ * phase that only computes pure functions (translate + summarize +
+ * simulate the uncovered CPU lanes), and a sequential index-ordered
+ * reduction that does *all* accounting, LA pricing, warm-tier
+ * publication and profile memoization in sequence order.  CPU lanes
+ * ride the batch engine, whose grouping-invariance guarantee makes
  * shard/batch partitioning semantically invisible.  Every LA price --
  * fresh, coalesced, warm or persisted serve -- comes from the serving
  * translation's persist::TranslationSummary through
@@ -75,7 +77,7 @@ struct ServiceOptions {
      */
     int threads = 1;
 
-    /** CPU pricing lanes per BatchSimulator call.  Never affects
+    /** CPU simulation lanes per BatchSimulator call.  Never affects
         results. */
     int batch = 16;
 
@@ -190,7 +192,12 @@ struct ServiceRequest {
     /** The loop to translate. */
     Loop loop{"request"};
 
-    /** Translation identity (tenants share; e.g. traceRequestKey()). */
+    /**
+     * Translation identity (tenants share; e.g. traceRequestKey()).  It
+     * also names the loop for CPU pricing -- one key, one loop: the
+     * key's warm-tier CpuProfile prices every later request of the key,
+     * whatever its iteration count.
+     */
     std::string key;
 
     TranslationMode mode = TranslationMode::kFullyDynamic;
@@ -352,9 +359,10 @@ class TranslationService {
 
     /**
      * Drain everything admitted since the last drain as one tick:
-     * sequential planning (taxonomy + work-list), parallel shard phase
-     * (translate + CPU price), sequential reduction (LA pricing and all
-     * accounting).
+     * sequential planning (taxonomy, work-list, CPU prices from warm
+     * profiles), parallel shard phase (translate + simulate uncovered
+     * CPU lanes), sequential reduction (LA pricing, profile
+     * memoization and all accounting).
      */
     void drainTick();
 

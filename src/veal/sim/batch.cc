@@ -81,16 +81,15 @@ interpretable(const Loop& loop)
 
 std::vector<CpuLoopTiming>
 BatchSimulator::simulateCpuBatch(const CpuConfig& config,
-                                 const std::vector<CpuSimRequest>& lanes)
+                                 const std::vector<CpuSimRequest>& lanes,
+                                 std::vector<CpuProfile>* profiles)
 {
-    constexpr int kWarmIterations = 96;
-    constexpr int kMeasureWindow = 32;
-
     cpu_lanes_.clear();
     cpu_ops_.clear();
     cpu_inputs_.clear();
     cpu_finish_.clear();
     cpu_iteration_end_.clear();
+    cpu_window_total_.clear();
 
     // --- Compile: one SoA op table + finish ring per lane.
     for (const auto& request : lanes) {
@@ -101,7 +100,7 @@ BatchSimulator::simulateCpuBatch(const CpuConfig& config,
         lane.iterations = request.iterations;
         lane.n = loop.size();
         lane.sim_iters = static_cast<int>(std::min<std::int64_t>(
-            request.iterations, kWarmIterations));
+            request.iterations, kCpuSimIterations));
 
         int max_distance = 1;
         for (const auto& op : loop.operations()) {
@@ -120,6 +119,7 @@ BatchSimulator::simulateCpuBatch(const CpuConfig& config,
         cpu_iteration_end_.resize(
             lane.iter_end_base + static_cast<std::size_t>(lane.sim_iters),
             0);
+        cpu_window_total_.resize(cpu_iteration_end_.size(), 0);
 
         lane.ops_begin = static_cast<std::uint32_t>(cpu_ops_.size());
         for (const auto& op : loop.operations()) {
@@ -191,43 +191,45 @@ BatchSimulator::simulateCpuBatch(const CpuConfig& config,
                 lane.end_of_iteration =
                     std::max(lane.end_of_iteration, done);
             }
-            cpu_iteration_end_[lane.iter_end_base +
-                               static_cast<std::size_t>(iter)] =
-                lane.issue_cycle;
+            const std::size_t row =
+                lane.iter_end_base + static_cast<std::size_t>(iter);
+            cpu_iteration_end_[row] = lane.issue_cycle;
+            cpu_window_total_[row] = lane.end_of_iteration;
         }
-        lane.iter = lane.sim_iters;
     }
 
-    // --- Finalize: steady-state extrapolation, identical per lane.
+    // --- Finalize: steady-state rate and extrapolation, identical per
+    // lane; the profile is the same run read at every prefix.
     std::vector<CpuLoopTiming> timings;
     timings.reserve(lanes.size());
+    if (profiles != nullptr) {
+        profiles->clear();
+        profiles->reserve(lanes.size());
+    }
     for (const auto& lane : cpu_lanes_) {
         const std::int64_t* iteration_end =
             cpu_iteration_end_.data() + lane.iter_end_base;
+        const int last = lane.sim_iters - 1;
         CpuLoopTiming timing;
-        if (lane.sim_iters >= kMeasureWindow * 2) {
-            const std::int64_t tail =
-                iteration_end[lane.sim_iters - 1] -
-                iteration_end[lane.sim_iters - 1 - kMeasureWindow];
+        std::int64_t tail = 0;
+        if (lane.sim_iters >= kCpuMeasureWindow * 2) {
+            tail = iteration_end[last] -
+                   iteration_end[last - kCpuMeasureWindow];
             timing.cycles_per_iteration =
-                static_cast<double>(tail) / kMeasureWindow;
+                static_cast<double>(tail) / kCpuMeasureWindow;
         } else {
             timing.cycles_per_iteration =
-                static_cast<double>(iteration_end[lane.sim_iters - 1]) /
-                lane.sim_iters;
+                static_cast<double>(iteration_end[last]) / lane.sim_iters;
         }
-        if (lane.iterations <= lane.sim_iters) {
-            timing.total_cycles =
-                std::max<std::int64_t>(lane.end_of_iteration, 1);
-        } else {
-            const double extra =
-                timing.cycles_per_iteration *
-                static_cast<double>(lane.iterations - lane.sim_iters);
-            timing.total_cycles =
-                std::max<std::int64_t>(lane.end_of_iteration, 1) +
-                static_cast<std::int64_t>(extra);
-        }
+        timing.total_cycles = extrapolateCpuCycles(
+            std::max<std::int64_t>(lane.end_of_iteration, 1), tail,
+            lane.iterations);
         timings.push_back(timing);
+        if (profiles != nullptr) {
+            profiles->emplace_back(
+                cpu_window_total_.data() + lane.iter_end_base,
+                lane.sim_iters, tail);
+        }
     }
     return timings;
 }

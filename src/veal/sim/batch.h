@@ -192,10 +192,15 @@ class BatchSimulator {
 
     /**
      * Timing of every lane on @p config, index-aligned with @p lanes.
-     * Bit-identical to reference::simulateLoopOnCpu per lane.
+     * Bit-identical to reference::simulateLoopOnCpu per lane.  When
+     * @p profiles is set it also receives every lane's CpuProfile,
+     * index-aligned: the lane's simulated run, which prices every trip
+     * count up to min(iterations, kCpuSimIterations) -- and every trip
+     * count at all once the run is the full window.
      */
     std::vector<CpuLoopTiming> simulateCpuBatch(
-        const CpuConfig& config, const std::vector<CpuSimRequest>& lanes);
+        const CpuConfig& config, const std::vector<CpuSimRequest>& lanes,
+        std::vector<CpuProfile>* profiles = nullptr);
 
     /**
      * Architectural results of every lane, index-aligned with @p lanes.
@@ -227,7 +232,8 @@ class BatchSimulator {
   private:
     // ---- CPU-timing SoA arenas.  One CpuOp per non-value-source op of
     // every lane; operand pairs in cpu_inputs_; finish rings and
-    // iteration-end rows carved out of flat arenas per lane.
+    // per-iteration rows (issue cycle, running completion total) carved
+    // out of flat arenas per lane.
 
     /** Compiled form of one non-value-source op (mirrors SimOp). */
     struct CpuOp {
@@ -243,15 +249,15 @@ class BatchSimulator {
         std::uint32_t ops_begin = 0;
         std::uint32_t ops_end = 0;
         std::size_t finish_base = 0;     ///< Into cpu_finish_.
-        std::size_t iter_end_base = 0;   ///< Into cpu_iteration_end_.
+        /** Into cpu_iteration_end_ and cpu_window_total_. */
+        std::size_t iter_end_base = 0;
         int n = 0;                       ///< loop.size().
         /** Finish-ring slots per op: max carried distance + 1, rounded
             up to a power of two so accesses mask instead of dividing. */
         int window = 0;
         int sim_iters = 0;
         std::int64_t iterations = 0;
-        // Stepping state (advanced one iteration per pass).
-        int iter = 0;
+        // Stepping state.
         int issued_this_cycle = 0;
         std::int64_t issue_cycle = 0;
         std::int64_t end_of_iteration = 0;
@@ -328,6 +334,7 @@ class BatchSimulator {
     std::vector<std::pair<int, int>> cpu_inputs_;
     std::vector<std::int64_t> cpu_finish_;
     std::vector<std::int64_t> cpu_iteration_end_;
+    std::vector<std::int64_t> cpu_window_total_;
 
     std::vector<ExecLane> exec_lanes_;
     std::vector<ExecInstr> exec_instrs_;

@@ -1,153 +1,62 @@
 #include "veal/sim/cpu_sim.h"
 
 #include <algorithm>
-#include <vector>
+#include <limits>
 
+#include "veal/sim/batch.h"
 #include "veal/support/assert.h"
 
 namespace veal {
 
-namespace {
-
-/** Number of iterations simulated before extrapolating. */
-constexpr int kWarmIterations = 96;
-/** Steady-state delta is averaged over this many trailing iterations. */
-constexpr int kMeasureWindow = 32;
-
-int
-opLatency(const Operation& op, const CpuConfig& config)
+std::int64_t
+extrapolateCpuCycles(std::int64_t window_total, std::int64_t tail,
+                     std::int64_t iterations)
 {
-    if (op.opcode == Opcode::kLoad)
-        return config.load_latency;
-    if (op.opcode == Opcode::kCall) {
-        // A non-inlined call: prologue/epilogue plus the callee body.
-        return 20;
-    }
-    return config.latencies.latency(op.opcode);
+    if (iterations <= kCpuSimIterations)
+        return window_total;
+    const double cycles_per_iteration =
+        static_cast<double>(tail) / kCpuMeasureWindow;
+    const double extra =
+        cycles_per_iteration *
+        static_cast<double>(iterations - kCpuSimIterations);
+    return window_total + static_cast<std::int64_t>(extra);
 }
 
-}  // namespace
+CpuProfile::CpuProfile(const std::int64_t* window_totals, int length,
+                       std::int64_t tail)
+{
+    VEAL_ASSERT(length >= 1 && length <= kCpuSimIterations);
+    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
+    const bool full = length == kCpuSimIterations;
+    // Completion cycles never decrease, so the last total bounds them
+    // all; a run that overflows 32 bits is simply not memoized.
+    if (window_totals[length - 1] > kMax ||
+        (full && (tail < 0 || tail > kMax)))
+        return;
+    totals_.resize(static_cast<std::size_t>(length));
+    for (int k = 0; k < length; ++k) {
+        totals_[static_cast<std::size_t>(k)] = static_cast<std::int32_t>(
+            std::max<std::int64_t>(window_totals[k], 1));
+    }
+    tail_ = full ? static_cast<std::int32_t>(tail) : 0;
+}
+
+std::int64_t
+CpuProfile::totalAt(std::int64_t iterations) const
+{
+    VEAL_ASSERT(covers(iterations), "profile of ", length(),
+                " iterations cannot price ", iterations);
+    const auto last = static_cast<std::size_t>(
+        std::min<std::int64_t>(iterations, length()) - 1);
+    return extrapolateCpuCycles(totals_[last], tail_, iterations);
+}
 
 CpuLoopTiming
 simulateLoopOnCpu(const Loop& loop, const CpuConfig& config,
                   std::int64_t iterations)
 {
-    VEAL_ASSERT(iterations >= 1, "loop must run at least one iteration");
-    const int n = loop.size();
-    const auto sim_iters = static_cast<int>(
-        std::min<std::int64_t>(iterations, kWarmIterations));
-
-    // finish[iter % window][op]: completion cycle of op in that iteration.
-    int max_distance = 1;
-    for (const auto& edge : loop.allEdges())
-        max_distance = std::max(max_distance, edge.distance);
-    const int window = max_distance + 1;
-    std::vector<std::int64_t> finish(
-        static_cast<std::size_t>(window) * static_cast<std::size_t>(n), 0);
-
-    // The iteration loop replays the same op stream kWarmIterations times;
-    // resolve latencies, value-source inputs, and branch-ness once instead
-    // of per replay.  Same arithmetic per op, so identical timing.
-    struct SimOp {
-        int id;
-        int latency;
-        bool is_branch;
-        std::uint32_t input_begin;
-        std::uint32_t input_end;
-    };
-    std::vector<SimOp> sim_ops;
-    std::vector<std::pair<int, int>> sim_inputs;  // (producer, distance)
-    sim_ops.reserve(static_cast<std::size_t>(n));
-    for (const auto& op : loop.operations()) {
-        if (op.isValueSource())
-            continue;  // Constants/live-ins live in registers.
-        SimOp sim;
-        sim.id = op.id;
-        sim.latency = opLatency(op, config);
-        sim.is_branch = op.opcode == Opcode::kBranch;
-        sim.input_begin = static_cast<std::uint32_t>(sim_inputs.size());
-        for (const auto& input : op.inputs) {
-            if (!loop.op(input.producer).isValueSource())
-                sim_inputs.emplace_back(input.producer, input.distance);
-        }
-        sim.input_end = static_cast<std::uint32_t>(sim_inputs.size());
-        sim_ops.push_back(sim);
-    }
-
-    std::int64_t issue_cycle = 0;  // Cycle the next instruction may issue.
-    int issued_this_cycle = 0;
-    std::int64_t end_of_iteration = 0;
-    std::vector<std::int64_t> iteration_end(
-        static_cast<std::size_t>(sim_iters), 0);
-
-    for (int iter = 0; iter < sim_iters; ++iter) {
-        const auto ring = static_cast<std::size_t>(iter % window);
-        std::int64_t* finish_ring =
-            finish.data() + ring * static_cast<std::size_t>(n);
-        for (const auto& op : sim_ops) {
-            std::int64_t ready = issue_cycle;
-            for (std::uint32_t i = op.input_begin; i < op.input_end; ++i) {
-                const auto& [producer, distance] = sim_inputs[i];
-                const int source_iter = iter - distance;
-                if (source_iter < 0)
-                    continue;  // Value from before the loop: ready.
-                const auto src_ring =
-                    static_cast<std::size_t>(source_iter % window);
-                ready = std::max(
-                    ready, finish[src_ring * static_cast<std::size_t>(n) +
-                                  static_cast<std::size_t>(producer)]);
-            }
-
-            // In-order issue: advance to the operand-ready cycle, then
-            // take the next free slot.
-            if (ready > issue_cycle) {
-                issue_cycle = ready;
-                issued_this_cycle = 0;
-            }
-            if (issued_this_cycle >= config.issue_width) {
-                ++issue_cycle;
-                issued_this_cycle = 0;
-            }
-            ++issued_this_cycle;
-
-            const std::int64_t done = issue_cycle + op.latency;
-            finish_ring[static_cast<std::size_t>(op.id)] = done;
-            if (op.is_branch) {
-                // Taken loop-back branch: redirect bubble.
-                issue_cycle += 1 + config.branch_penalty;
-                issued_this_cycle = 0;
-            }
-            end_of_iteration = std::max(end_of_iteration, done);
-        }
-        iteration_end[static_cast<std::size_t>(iter)] = issue_cycle;
-    }
-
-    CpuLoopTiming timing;
-    if (sim_iters >= kMeasureWindow * 2) {
-        const std::int64_t tail =
-            iteration_end[static_cast<std::size_t>(sim_iters - 1)] -
-            iteration_end[static_cast<std::size_t>(
-                sim_iters - 1 - kMeasureWindow)];
-        timing.cycles_per_iteration =
-            static_cast<double>(tail) / kMeasureWindow;
-    } else {
-        timing.cycles_per_iteration =
-            static_cast<double>(
-                iteration_end[static_cast<std::size_t>(sim_iters - 1)]) /
-            sim_iters;
-    }
-
-    if (iterations <= sim_iters) {
-        timing.total_cycles = std::max<std::int64_t>(end_of_iteration, 1);
-    } else {
-        const double extra =
-            timing.cycles_per_iteration *
-            static_cast<double>(iterations - sim_iters);
-        timing.total_cycles =
-            std::max<std::int64_t>(end_of_iteration, 1) +
-            static_cast<std::int64_t>(extra);
-    }
-    return timing;
+    return simulateCpuBatch(config, {CpuSimRequest{&loop, iterations}})
+        .front();
 }
 
 }  // namespace veal

@@ -11,14 +11,27 @@
  * loop-back branch costs a redirect bubble each iteration.  This is the
  * machine the paper's speedups are measured against (ARM11-like at one
  * issue; the 2-/4-issue comparison bars use the same model, wider).
+ *
+ * The model has one live implementation, the batch engine
+ * (BatchSimulator::simulateCpuBatch in veal/sim/batch.h);
+ * simulateLoopOnCpu() is its one-lane form and
+ * reference::simulateLoopOnCpu the frozen oracle both are tested
+ * against.
  */
 
 #include <cstdint>
+#include <vector>
 
 #include "veal/arch/cpu_config.h"
 #include "veal/ir/loop.h"
 
 namespace veal {
+
+/** Iterations simulated before the model extrapolates. */
+inline constexpr int kCpuSimIterations = 96;
+
+/** Trailing simulated iterations the steady-state rate averages. */
+inline constexpr int kCpuMeasureWindow = 32;
 
 /** Timing of one loop executed on the in-order CPU. */
 struct CpuLoopTiming {
@@ -27,6 +40,59 @@ struct CpuLoopTiming {
 
     /** Steady-state cycles per iteration. */
     double cycles_per_iteration = 0.0;
+};
+
+/**
+ * Total cycles of @p iterations: @p window_total is max(last completion
+ * cycle, 1) after the first min(@p iterations, kCpuSimIterations),
+ * @p tail the cycles the last kCpuMeasureWindow of a full window took
+ * (read only past it).  The model's one copy of the extrapolation.
+ */
+std::int64_t extrapolateCpuCycles(std::int64_t window_total,
+                                  std::int64_t tail,
+                                  std::int64_t iterations);
+
+/**
+ * A loop's CPU price at every trip count one simulation fixes.
+ *
+ * The first k simulated iterations are the same whatever the trip
+ * count, so a run of L iterations prices every N <= L (the running
+ * total after N), and a full kCpuSimIterations run also fixes the
+ * steady-state tail every longer N extrapolates with.  Totals are kept
+ * in 32-bit cells; a run whose totals do not fit yields an empty
+ * profile, which covers nothing.
+ */
+class CpuProfile {
+  public:
+    /** The empty profile. */
+    CpuProfile() = default;
+
+    /** Profile of a @p length-iteration run: @p window_totals[k] is
+        the last completion cycle after iteration k; @p tail as in
+        extrapolateCpuCycles() (kept only for a full window). */
+    CpuProfile(const std::int64_t* window_totals, int length,
+               std::int64_t tail);
+
+    /** Simulated iterations behind this profile (0: empty). */
+    int length() const { return static_cast<int>(totals_.size()); }
+
+    /** True when totalAt(@p iterations) is answerable. */
+    bool
+    covers(std::int64_t iterations) const
+    {
+        return iterations >= 1 && (iterations <= length() ||
+                                   length() == kCpuSimIterations);
+    }
+
+    /**
+     * simulateLoopOnCpu(loop, config, @p iterations).total_cycles,
+     * bit-identically.  @pre covers(@p iterations).
+     */
+    std::int64_t totalAt(std::int64_t iterations) const;
+
+  private:
+    std::vector<std::int32_t> totals_;  ///< max(completion, 1) per iteration.
+    std::int32_t tail_ = 0;
 };
 
 /**

@@ -62,6 +62,15 @@ WarmTier::mutableEntry(const std::string& key)
     return it == entries_.end() ? nullptr : it->second;
 }
 
+void
+WarmTier::offerCpuProfile(const std::string& key, CpuProfile profile)
+{
+    const auto it = entries_.find(key);
+    if (it != entries_.end() &&
+        profile.length() > it->second->cpu_profile.length())
+        it->second->cpu_profile = std::move(profile);
+}
+
 bool
 WarmTier::invalidate(const std::string& key)
 {

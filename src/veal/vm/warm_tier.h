@@ -16,16 +16,21 @@
  *
  * Like the paper's code cache, which keeps only the translated loop
  * control, an entry holds no schedule or dataflow graph: just the
- * persist::TranslationSummary the LA cost model prices from and the
- * control image.  In-process translations and entries rehydrated from
- * the persistent store are therefore the same kind of entry.
+ * persist::TranslationSummary the LA cost model prices from, the
+ * control image, and the key's CpuProfile -- its baseline-CPU price at
+ * every trip count one simulation fixed (a key names one loop, so one
+ * profile prices every request of it).  In-process translations and
+ * entries rehydrated from the persistent store are the same kind of
+ * entry; profiles are not persisted, so a rehydrated entry starts
+ * without one.
  *
  * Concurrency discipline (how the service keeps byte-identical output
- * at any shard/thread count): all writes -- publish() and invalidate()
- * -- happen in the service's *sequential* phases, ordered by request
- * sequence number; the parallel shard phase only reads via find().
- * The tier therefore needs no locking, and the epoch/sequence tags on
- * every entry make "who translated this, when" auditable in tests.
+ * at any shard/thread count): all writes -- publish(),
+ * offerCpuProfile() and invalidate() -- happen in the service's
+ * *sequential* phases, ordered by request sequence number; the
+ * parallel shard phase only reads via find().  The tier therefore
+ * needs no locking, and the epoch/sequence tags on every entry make
+ * "who translated this, when" auditable in tests.
  *
  * Entries are handed out as shared_ptr: a request served early in a
  * tick keeps its entry alive for reduction-time pricing even if a later
@@ -39,6 +44,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "veal/sim/cpu_sim.h"
 #include "veal/vm/control_image.h"
 #include "veal/vm/persist/blob.h"
 #include "veal/vm/translator.h"
@@ -60,6 +66,10 @@ class WarmTier {
 
         /** image->checksum() at publish time, validated on serves. */
         std::uint32_t expected_checksum = 0;
+
+        /** Baseline-CPU prices of the key's loop (empty until a
+            simulation is offered; only ever replaced by a longer one). */
+        CpuProfile cpu_profile;
 
         /** Service tick that published this entry. */
         std::int64_t epoch = 0;
@@ -118,6 +128,13 @@ class WarmTier {
      * place, as the hardened VM does).  Sequential phases only.
      */
     std::shared_ptr<Entry> mutableEntry(const std::string& key);
+
+    /**
+     * Give @p key's entry @p profile when it covers more than the one
+     * the entry holds; no-op when the key is not resident.  Sequential
+     * phases only.
+     */
+    void offerCpuProfile(const std::string& key, CpuProfile profile);
 
     /**
      * Drop @p key (checksum mismatch); true when it was resident.

@@ -5,7 +5,10 @@
  * byte-identical at every point of the shards {1,2,8} x threads {1,8}
  * x batch {1,64} matrix.  A third of the traces run with the fault
  * stream armed, so corruption/degradation under concurrency is held to
- * the same standard.
+ * the same standard, and every request carries its own iteration count
+ * drawn across the CPU model's 96-iteration window, so the memoized
+ * CPU profiles are built short, extended, and extrapolated under every
+ * shape.
  */
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include "veal/service/service.h"
 #include "veal/service/trace.h"
 #include "veal/support/metrics/metrics.h"
+#include "veal/support/rng.h"
 
 namespace veal {
 namespace {
@@ -25,6 +29,23 @@ namespace {
 constexpr int kShards[] = {1, 2, 8};
 constexpr int kThreads[] = {1, 8};
 constexpr int kBatches[] = {1, 64};
+
+/**
+ * Test-local rewrite of @p trace: each request gets its own iteration
+ * count, drawn on both sides of the CPU model's window (exact seams
+ * included), so one key is priced below, at and past the window.
+ */
+void
+spreadIterations(ServiceTrace& trace, std::uint64_t seed)
+{
+    static constexpr std::int64_t kCounts[] = {1,  2,  5,  31,  63,  64,
+                                               65, 95, 96, 97, 200, 100000};
+    Rng rng(seed ^ 0x17e5ull);
+    for (auto& tick : trace.ticks) {
+        for (auto& request : tick)
+            request.iterations = kCounts[rng.nextBelow(std::size(kCounts))];
+    }
+}
 
 struct RunSnapshot {
     std::string render;
@@ -64,7 +85,8 @@ TEST(ServiceDeterminism, FiveHundredTracesAcrossTheWholeMatrix)
         gen.loop_pool = 3;
         gen.tick_size = 4;
         gen.iterations = 6;
-        const ServiceTrace trace = generateTrace(gen);
+        ServiceTrace trace = generateTrace(gen);
+        spreadIterations(trace, seed);
 
         // Every third trace runs with per-request fault streams armed.
         const std::optional<std::uint64_t> fault_seed =
