@@ -9,8 +9,8 @@
 
 #include "bench/common.h"
 #include "veal/arch/cpu_config.h"
-#include "veal/sim/cpu_sim.h"
 #include "veal/support/table.h"
+#include "veal/vm/vm.h"
 #include "veal/workloads/suite.h"
 
 namespace veal {
@@ -25,14 +25,14 @@ report(const std::vector<Benchmark>& suite, const char* group,
                      "acyclic%"});
     for (const auto& benchmark : suite) {
         const auto& app = benchmark.transformed;
+        CpuBaseline priced;
+        const CpuBaseline& prices = cpuBaselineOn(app, cpu, priced);
         double by_feature[3] = {0.0, 0.0, 0.0};
-        for (const auto& site : app.sites) {
-            const double cycles =
-                static_cast<double>(
-                    simulateLoopOnCpu(site.loop, cpu, site.iterations)
-                        .total_cycles) *
+        for (std::size_t s = 0; s < app.sites.size(); ++s) {
+            const auto& site = app.sites[s];
+            by_feature[static_cast<int>(site.loop.feature())] +=
+                static_cast<double>(prices.sites[s].loop) *
                 static_cast<double>(site.invocations);
-            by_feature[static_cast<int>(site.loop.feature())] += cycles;
         }
         const double acyclic = static_cast<double>(app.acyclic_cycles);
         const double total =

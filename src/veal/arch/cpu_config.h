@@ -53,6 +53,12 @@ struct CpuConfig {
 
     /** Hypothetical quad-issue A8 with larger L2 (14.0 mm^2). */
     static CpuConfig quadIssue();
+
+    /**
+     * Field-wise equality: a CpuBaseline (vm/application.h) priced on
+     * one configuration serves exactly the configurations equal to it.
+     */
+    bool operator==(const CpuConfig&) const = default;
 };
 
 }  // namespace veal

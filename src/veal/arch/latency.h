@@ -35,6 +35,9 @@ class LatencyModel {
     /** The baseline in-order CPU preset. */
     static LatencyModel cpu();
 
+    /** Equal when every opcode's latency is. */
+    bool operator==(const LatencyModel&) const = default;
+
   private:
     std::array<int, kNumOpcodes> cycles_;
 };

@@ -17,14 +17,15 @@
  *
  * Thread-confinement contract (audited in DESIGN.md "Threading"):
  * each cell constructs its own VirtualMachine / CostMeter; nothing
- * mutable is shared between cells.  Benchmarks are shared read-only.
+ * mutable is shared between cells.  Benchmarks are shared read-only,
+ * including each transformed app's CPU baseline table.
  *
- * Each cell's VirtualMachine::run() prices the CPU path of every loop
- * piece of the application through one batched simulateCpuBatch() call
- * (see veal/sim/batch.h), so a whole sweep feeds the data-parallel batch
- * engine rather than one-invocation-at-a-time simulator calls -- with
- * bit-identical cell values.  LA prices are the closed-form
- * acceleratorLoopCost() per piece (sim/la_timing.h).
+ * The suite builder prices every CPU lane of an application once, on
+ * the arm11 baseline (Application::cpu_baseline), and each cell's
+ * VirtualMachine::run() reads those prices instead of re-simulating the
+ * same baseline at every design point.  A cell simulates the CPU only
+ * when its VM's CPU differs from the table's.  LA prices are the
+ * closed-form acceleratorLoopCost() per piece (sim/la_timing.h).
  */
 
 #include <cstdint>

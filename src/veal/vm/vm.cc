@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "veal/sim/batch.h"
-#include "veal/sim/cpu_sim.h"
 #include "veal/vm/control_image.h"
 #include "veal/sim/la_timing.h"
 #include "veal/support/assert.h"
@@ -71,6 +69,34 @@ meterTlb(metrics::Registry& registry, const LaPiecePrice& price,
                                       hits * price.tlb_warm.cycles);
 }
 
+/** A piece the VM dispatches for a site, with its CPU price. */
+struct SitePiece {
+    const Loop* loop = nullptr;
+    std::int64_t cpu_cycles_per_invocation = 0;
+};
+
+/** @p site's pieces -- its fissioned pieces, or else the loop itself --
+    priced from the site's entry @p prices of a CpuBaseline. */
+std::vector<SitePiece>
+sitePieces(const LoopSite& site, const CpuBaseline::Site& prices)
+{
+    if (site.fissioned.empty())
+        return {{&site.loop, prices.loop}};
+    std::vector<SitePiece> pieces;
+    for (std::size_t i = 0; i < site.fissioned.size(); ++i)
+        pieces.push_back({&site.fissioned[i], prices.pieces[i]});
+    return pieces;
+}
+
+/** @p app's acyclic remainder on @p cpu. */
+std::int64_t
+acyclicCyclesOn(const Application& app, const CpuConfig& cpu)
+{
+    return static_cast<std::int64_t>(
+        static_cast<double>(app.acyclic_cycles) /
+        std::max(cpu.acyclic_speedup, 1.0));
+}
+
 /** Everything the VM derives for one translated piece of one site. */
 struct PiecePlan {
     const Loop* loop = nullptr;
@@ -105,6 +131,8 @@ VirtualMachine::run(const Application& app,
 {
     AppRunResult out;
     out.app_name = app.name;
+    CpuBaseline priced;
+    const CpuBaseline& cpu_prices = cpuBaselineOn(app, cpu_, priced);
 
     // First pass: translate every piece and price both execution paths.
     struct SitePlan {
@@ -114,28 +142,27 @@ VirtualMachine::run(const Application& app,
     };
     std::vector<SitePlan> plans;
 
-    for (const auto& site : app.sites) {
+    for (std::size_t s = 0; s < app.sites.size(); ++s) {
+        const LoopSite& site = app.sites[s];
+        const CpuBaseline::Site& prices = cpu_prices.sites[s];
         SitePlan plan;
         plan.site = &site;
-        std::vector<const Loop*> pieces;
-        if (site.fissioned.empty()) {
-            pieces.push_back(&site.loop);
-        } else {
-            for (const auto& piece : site.fissioned)
-                pieces.push_back(&piece);
-        }
-        for (const Loop* loop : pieces) {
+        plan.baseline_cpu_cycles_per_invocation = prices.loop;
+        for (const SitePiece& dispatched : sitePieces(site, prices)) {
+            const Loop& loop = *dispatched.loop;
             PiecePlan piece;
-            piece.loop = loop;
+            piece.loop = &loop;
+            piece.cpu_cycles_per_invocation =
+                dispatched.cpu_cycles_per_invocation;
             StaticAnnotations annotations;
             const StaticAnnotations* annotations_ptr = nullptr;
             if (options_.mode ==
                 TranslationMode::kHybridStaticCcaPriority) {
-                annotations = precompileAnnotations(*loop, la_);
+                annotations = precompileAnnotations(loop, la_);
                 annotations_ptr = &annotations;
             }
             piece.translation =
-                translateLoop(*loop, la_, options_.mode, annotations_ptr);
+                translateLoop(loop, la_, options_.mode, annotations_ptr);
             if (piece.translation.ok) {
                 piece.la = priceOnLa(piece.translation, la_, options_.tlb,
                                      site.iterations);
@@ -143,38 +170,6 @@ VirtualMachine::run(const Application& app,
             plan.pieces.push_back(std::move(piece));
         }
         plans.push_back(std::move(plan));
-    }
-
-    // Price the CPU paths through the batch engine: all pieces of all
-    // sites (plus the fissioned sites' unfissioned baselines) become
-    // lanes of one simulateCpuBatch() call.  Bit-identical to per-call
-    // pricing.
-    {
-        std::vector<CpuSimRequest> cpu_requests;
-        std::vector<std::int64_t*> cpu_fills;
-        for (auto& plan : plans) {
-            const std::int64_t iterations = plan.site->iterations;
-            for (auto& piece : plan.pieces) {
-                cpu_requests.push_back({piece.loop, iterations});
-                cpu_fills.push_back(&piece.cpu_cycles_per_invocation);
-            }
-            // An unfissioned site's only piece *is* site.loop; reuse its
-            // lane instead of adding one for the baseline.
-            if (!plan.site->fissioned.empty()) {
-                cpu_requests.push_back({&plan.site->loop, iterations});
-                cpu_fills.push_back(
-                    &plan.baseline_cpu_cycles_per_invocation);
-            }
-        }
-        const auto timings = simulateCpuBatch(cpu_, cpu_requests);
-        for (std::size_t i = 0; i < cpu_fills.size(); ++i)
-            *cpu_fills[i] = timings[i].total_cycles;
-        for (auto& plan : plans) {
-            if (plan.site->fissioned.empty()) {
-                plan.baseline_cpu_cycles_per_invocation =
-                    plan.pieces.front().cpu_cycles_per_invocation;
-            }
-        }
     }
 
     // Cache-miss count for one piece of @p site under a fits assumption:
@@ -241,8 +236,9 @@ VirtualMachine::run(const Application& app,
 
         for (const auto& piece : plan.pieces) {
             const auto& tr = piece.translation;
-            const std::string trace_scope =
-                "vm/" + app.name + "/" + piece.loop->name();
+            std::string trace_scope;
+            if (registry != nullptr)
+                trace_scope = "vm/" + app.name + "/" + piece.loop->name();
             const double metered_penalty =
                 options_.penalty_override >= 0.0
                     ? options_.penalty_override
@@ -363,8 +359,9 @@ VirtualMachine::run(const Application& app,
         out.sites.push_back(std::move(site_result));
     }
 
-    out.baseline_cycles += app.acyclic_cycles;
-    out.accelerated_cycles += app.acyclic_cycles;
+    const std::int64_t acyclic_cycles = acyclicCyclesOn(app, cpu_);
+    out.baseline_cycles += acyclic_cycles;
+    out.accelerated_cycles += acyclic_cycles;
     out.speedup = out.accelerated_cycles > 0
                       ? static_cast<double>(out.baseline_cycles) /
                             static_cast<double>(out.accelerated_cycles)
@@ -393,6 +390,8 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
     AppRunResult out;
     out.app_name = app.name;
     const FaultPlan& plan = faults->plan();
+    CpuBaseline priced;
+    const CpuBaseline& cpu_prices = cpuBaselineOn(app, cpu_, priced);
 
     const auto annotationsFor =
         [&](const Loop& loop,
@@ -428,6 +427,8 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
     };
     struct HardenedSite {
         const LoopSite* site = nullptr;
+        /** The unfissioned loop's CPU price: the site's baseline, and
+            what a pinned site runs at. */
         std::int64_t baseline_cpu_cycles_per_invocation = 0;
         DegradationRung rung = DegradationRung::kNominal;
         bool pinned = false;
@@ -436,32 +437,26 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
         /** Work performed then abandoned (failed attempts, pieces a
             no-fission retry superseded): charged exactly once each. */
         std::vector<TranslationResult> charged_once;
-        std::int64_t pinned_cpu_cycles_per_invocation = 0;
     };
     std::vector<HardenedSite> sites;
 
     for (std::size_t site_index = 0; site_index < app.sites.size();
          ++site_index) {
         const LoopSite& site = app.sites[site_index];
+        const CpuBaseline::Site& prices = cpu_prices.sites[site_index];
         HardenedSite hs;
         hs.site = &site;
-
-        std::vector<const Loop*> piece_loops;
-        if (site.fissioned.empty()) {
-            piece_loops.push_back(&site.loop);
-        } else {
-            for (const auto& piece : site.fissioned)
-                piece_loops.push_back(&piece);
-        }
+        hs.baseline_cpu_cycles_per_invocation = prices.loop;
 
         bool pinned = false;
         bool retry_unfissioned = false;
-        for (const Loop* loop : piece_loops) {
+        for (const SitePiece& dispatched : sitePieces(site, prices)) {
+            const Loop& loop = *dispatched.loop;
             StaticAnnotations storage;
             const StaticAnnotations* annotations =
-                annotationsFor(*loop, &storage);
+                annotationsFor(loop, &storage);
             LadderOutcome outcome = climbTranslationLadder(
-                *loop, la_, options_.mode, annotations, faults);
+                loop, la_, options_.mode, annotations, faults);
             for (auto& attempt : outcome.failed_attempts)
                 hs.charged_once.push_back(std::move(attempt));
             if (!outcome.translation.ok) {
@@ -475,7 +470,9 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
             }
             hs.rung = std::max(hs.rung, outcome.rung);
             HardenedPiece piece;
-            piece.loop = loop;
+            piece.loop = &loop;
+            piece.cpu_cycles_per_invocation =
+                dispatched.cpu_cycles_per_invocation;
             piece.rung = outcome.rung;
             piece.translation = std::move(outcome.translation);
             hs.pieces.push_back(std::move(piece));
@@ -500,6 +497,7 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                 hs.pieces.clear();
                 HardenedPiece piece;
                 piece.loop = &site.loop;
+                piece.cpu_cycles_per_invocation = prices.loop;
                 piece.rung = DegradationRung::kNoFission;
                 piece.translation = std::move(tr);
                 hs.pieces.push_back(std::move(piece));
@@ -526,50 +524,6 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                                  site.iterations);
         }
         sites.push_back(std::move(hs));
-    }
-
-    // Price the surviving pieces' CPU paths through the batch engine
-    // (one lane per piece, per pinned site, and per fissioned site's
-    // unfissioned baseline).  Bit-identical to per-call pricing;
-    // pointers are taken only now, after the sites vector has stopped
-    // moving.
-    {
-        std::vector<CpuSimRequest> cpu_requests;
-        std::vector<std::int64_t*> cpu_fills;
-        for (auto& hs : sites) {
-            const std::int64_t iterations = hs.site->iterations;
-            if (hs.pinned) {
-                cpu_requests.push_back({&hs.site->loop, iterations});
-                cpu_fills.push_back(&hs.pinned_cpu_cycles_per_invocation);
-            }
-            for (auto& piece : hs.pieces) {
-                cpu_requests.push_back({piece.loop, iterations});
-                cpu_fills.push_back(&piece.cpu_cycles_per_invocation);
-            }
-            // A pinned site's baseline reuses the pinned lane, and an
-            // unfissioned single piece *is* site.loop; only a fissioned,
-            // unpinned site needs a baseline lane of its own.
-            if (!hs.pinned &&
-                !(!hs.pieces.empty() &&
-                  hs.pieces.front().loop == &hs.site->loop)) {
-                cpu_requests.push_back({&hs.site->loop, iterations});
-                cpu_fills.push_back(
-                    &hs.baseline_cpu_cycles_per_invocation);
-            }
-        }
-        const auto timings = simulateCpuBatch(cpu_, cpu_requests);
-        for (std::size_t i = 0; i < cpu_fills.size(); ++i)
-            *cpu_fills[i] = timings[i].total_cycles;
-        for (auto& hs : sites) {
-            if (hs.pinned) {
-                hs.baseline_cpu_cycles_per_invocation =
-                    hs.pinned_cpu_cycles_per_invocation;
-            } else if (!hs.pieces.empty() &&
-                       hs.pieces.front().loop == &hs.site->loop) {
-                hs.baseline_cpu_cycles_per_invocation =
-                    hs.pieces.front().cpu_cycles_per_invocation;
-            }
-        }
     }
 
     // --- Dispatch phase: explicit round-robin over invocations through a
@@ -668,9 +622,9 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
         site_report.loop_name = site.loop.name();
         site_report.rung = hs.rung;
 
-        const std::string trace_scope =
-            "vm.fault/" + app.name + "/" + site.loop.name();
+        std::string trace_scope;
         if (registry != nullptr) {
+            trace_scope = "vm.fault/" + app.name + "/" + site.loop.name();
             registry->add(std::string("vm.fault.rung.") +
                           toString(hs.rung));
             registry->trace(trace_scope, "rung", toString(hs.rung),
@@ -696,7 +650,7 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
 
         if (hs.pinned) {
             site_result.actual_cycles +=
-                hs.pinned_cpu_cycles_per_invocation * site.invocations;
+                hs.baseline_cpu_cycles_per_invocation * site.invocations;
             FaultPieceReport piece_report;
             piece_report.loop = &site.loop;
             if (!hs.charged_once.empty())
@@ -811,8 +765,9 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
             fault_report->sites.push_back(std::move(site_report));
     }
 
-    out.baseline_cycles += app.acyclic_cycles;
-    out.accelerated_cycles += app.acyclic_cycles;
+    const std::int64_t acyclic_cycles = acyclicCyclesOn(app, cpu_);
+    out.baseline_cycles += acyclic_cycles;
+    out.accelerated_cycles += acyclic_cycles;
     out.speedup = out.accelerated_cycles > 0
                       ? static_cast<double>(out.baseline_cycles) /
                             static_cast<double>(out.accelerated_cycles)
@@ -828,18 +783,12 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
 std::int64_t
 cpuOnlyCycles(const Application& app, const CpuConfig& cpu)
 {
-    std::vector<CpuSimRequest> requests;
-    requests.reserve(app.sites.size());
-    for (const auto& site : app.sites)
-        requests.push_back({&site.loop, site.iterations});
-    const auto timings = simulateCpuBatch(cpu, requests);
+    CpuBaseline priced;
+    const CpuBaseline& prices = cpuBaselineOn(app, cpu, priced);
     std::int64_t total = 0;
-    for (std::size_t i = 0; i < app.sites.size(); ++i)
-        total += timings[i].total_cycles * app.sites[i].invocations;
-    total += static_cast<std::int64_t>(
-        static_cast<double>(app.acyclic_cycles) /
-        std::max(cpu.acyclic_speedup, 1.0));
-    return total;
+    for (std::size_t s = 0; s < app.sites.size(); ++s)
+        total += prices.sites[s].loop * app.sites[s].invocations;
+    return total + acyclicCyclesOn(app, cpu);
 }
 
 }  // namespace veal

@@ -165,6 +165,11 @@ struct AppRunResult {
  * run() keeps all per-run state on the stack, so distinct threads may
  * run() distinct (or even the same) instance concurrently.  The parallel
  * sweep engine (veal/explore) relies on this contract; keep run() const.
+ *
+ * CPU prices: run() reads the application's Application::cpu_baseline
+ * when it was priced on this VM's CPU and prices the lanes itself
+ * otherwise (cpuBaselineOn()); the table is only read, never filled, so
+ * cells sharing one application share it without a lock.
  */
 class VirtualMachine {
   public:
@@ -220,8 +225,27 @@ class VirtualMachine {
 };
 
 /**
+ * Price every CPU lane of @p app on @p cpu in one simulateCpuBatch()
+ * call: each site's unfissioned loop and each fissioned piece, per
+ * invocation at the site's iterations.  The one place an application's
+ * CPU lanes are listed.
+ */
+CpuBaseline priceCpuBaseline(const Application& app, const CpuConfig& cpu);
+
+/**
+ * @p app's CPU lane prices on @p cpu: app.cpu_baseline when it was
+ * priced on a configuration equal to @p cpu (its shape -- site count,
+ * pieces per site -- is asserted to match @p app), otherwise a fresh
+ * priceCpuBaseline() stored in @p storage.
+ */
+const CpuBaseline& cpuBaselineOn(const Application& app,
+                                 const CpuConfig& cpu,
+                                 CpuBaseline& storage);
+
+/**
  * Cycles for the whole application on @p cpu alone (no LA): used both as
- * the speedup baseline and for the 2-/4-issue comparison bars.
+ * the speedup baseline and for the 2-/4-issue comparison bars.  Equals
+ * VirtualMachine::run's baseline_cycles on the same CPU.
  */
 std::int64_t cpuOnlyCycles(const Application& app, const CpuConfig& cpu);
 

@@ -5,9 +5,9 @@
 #include "veal/arch/cpu_config.h"
 #include "veal/arch/la_config.h"
 #include "veal/ir/transforms.h"
-#include "veal/sim/cpu_sim.h"
 #include "veal/support/assert.h"
 #include "veal/support/logging.h"
+#include "veal/vm/vm.h"
 #include "veal/workloads/kernels.h"
 
 namespace veal {
@@ -86,24 +86,26 @@ class BenchmarkBuilder {
     }
 
     /**
-     * Calibrate invocation counts of speculation/subroutine sites and the
-     * acyclic residue so baseline-CPU time splits match Figure 2 targets.
+     * Price the transformed binary's CPU lanes once on the baseline
+     * (Application::cpu_baseline), then calibrate invocation counts of
+     * speculation/subroutine sites and the acyclic residue so
+     * baseline-CPU time splits match Figure 2 targets.  Prices are per
+     * invocation, so the calibration leaves the table valid.
      */
     Benchmark
     calibrate()
     {
-        const CpuConfig cpu = CpuConfig::arm11();
+        Application& app = benchmark_.transformed;
+        app.cpu_baseline = priceCpuBaseline(app, CpuConfig::arm11());
         double time_modulo = 0.0;
         double time_spec = 0.0;
         double time_sub = 0.0;
-        std::vector<double> site_time(benchmark_.transformed.sites.size());
-        for (std::size_t s = 0; s < benchmark_.transformed.sites.size();
-             ++s) {
-            auto& site = benchmark_.transformed.sites[s];
-            const auto timing =
-                simulateLoopOnCpu(site.loop, cpu, site.iterations);
-            site_time[s] = static_cast<double>(timing.total_cycles) *
-                           static_cast<double>(site.invocations);
+        std::vector<double> site_time(app.sites.size());
+        for (std::size_t s = 0; s < app.sites.size(); ++s) {
+            const auto& site = app.sites[s];
+            site_time[s] =
+                static_cast<double>(app.cpu_baseline->sites[s].loop) *
+                static_cast<double>(site.invocations);
             switch (site.loop.feature()) {
               case LoopFeature::kModuloSchedulable:
                 time_modulo += site_time[s];

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "veal/fault/fault_injector.h"
+#include "veal/fault/fault_plan.h"
 #include "veal/support/metrics/metrics.h"
 #include "veal/workloads/kernels.h"
 #include "veal/ir/transforms.h"
@@ -231,13 +233,21 @@ TEST(VmRunTest, SiteRejectReportsTheFirstFailedPiece)
 
 TEST(VmRunTest, BaselineCyclesMatchCpuOnly)
 {
+    // On every preset, acyclic scaling included: cpuOnlyCycles is the
+    // speedup baseline, so both run bodies must agree with it.
     const auto app = makeSimpleApp();
     VmOptions options;
     options.mode = TranslationMode::kStatic;
-    VirtualMachine vm(LaConfig::proposed(), CpuConfig::arm11(), options);
-    const auto result = vm.run(app);
-    EXPECT_EQ(result.baseline_cycles,
-              cpuOnlyCycles(app, CpuConfig::arm11()));
+    for (const CpuConfig& cpu : {CpuConfig::arm11(), CpuConfig::cortexA8(),
+                                 CpuConfig::quadIssue()}) {
+        VirtualMachine vm(LaConfig::proposed(), cpu, options);
+        EXPECT_EQ(vm.run(app).baseline_cycles, cpuOnlyCycles(app, cpu))
+            << cpu.name;
+        FaultInjector no_faults(FaultPlan{});
+        EXPECT_EQ(vm.run(app, nullptr, &no_faults).baseline_cycles,
+                  cpuOnlyCycles(app, cpu))
+            << cpu.name << " (hardened)";
+    }
 }
 
 TEST(VmRunTest, WiderCpuIsFasterButScalesAcyclicOnly)
