@@ -218,14 +218,7 @@ scoreLoopCell(const Loop& loop, const LaConfig& la, TranslationMode mode,
               std::int64_t iterations, const TlbConfig& tlb)
 {
     VEAL_ASSERT(iterations >= 1, "scoring needs >= 1 iteration");
-    const StaticAnnotations* annotations_ptr = nullptr;
-    StaticAnnotations annotations;
-    if (mode == TranslationMode::kHybridStaticCcaPriority) {
-        annotations = precompileAnnotations(loop, la);
-        annotations_ptr = &annotations;
-    }
-    const TranslationResult translation =
-        translateLoop(loop, la, mode, annotations_ptr);
+    const TranslationResult translation = translateLoop(loop, la, mode);
 
     LoopScore score;
     score.ok = translation.ok;

@@ -290,14 +290,8 @@ runServiceCase(const Loop& loop, const LaConfig& config,
 
         // Cross-check the service's verdict against a direct ladder
         // climb -- the service must never flip a loop's translatability.
-        StaticAnnotations annotations;
-        const StaticAnnotations* annotations_ptr = nullptr;
-        if (mode == TranslationMode::kHybridStaticCcaPriority) {
-            annotations = precompileAnnotations(loop, config);
-            annotations_ptr = &annotations;
-        }
-        const LadderOutcome ladder = climbTranslationLadder(
-            loop, config, mode, annotations_ptr, nullptr);
+        const LadderOutcome ladder =
+            climbTranslationLadder(loop, config, mode, nullptr, nullptr);
         for (const auto* tick : {&narrow.first_tick, &narrow.second_tick}) {
             for (const auto& outcome : *tick) {
                 if (outcome.translated_ok != ladder.translation.ok) {

@@ -115,110 +115,7 @@ OracleReport
 runOracle(const Loop& loop, const LaConfig& config, std::uint64_t seed,
           const OracleOptions& options)
 {
-    OracleReport report;
-    ScopedPanicGuard guard;
-
-    std::optional<FaultInjector> injector;
-    if (options.fault_plan.has_value())
-        injector.emplace(*options.fault_plan);
-
-    TranslationResult translation;
-    try {
-        StaticAnnotations annotations;
-        const StaticAnnotations* annotations_ptr = nullptr;
-        if (options.mode == TranslationMode::kHybridStaticCcaPriority) {
-            annotations = precompileAnnotations(loop, config);
-            annotations_ptr = &annotations;
-        }
-        if (injector.has_value()) {
-            LadderOutcome outcome = climbTranslationLadder(
-                loop, config, options.mode, annotations_ptr, &*injector);
-            translation = std::move(outcome.translation);
-            report.rung = outcome.rung;
-            report.faults_fired = injector->totalFired();
-        } else {
-            translation =
-                translateLoop(loop, config, options.mode, annotations_ptr);
-        }
-    } catch (const PanicError& panic) {
-        report.outcome = OracleOutcome::kCrashGuard;
-        report.detail = std::string("translator panic: ") + panic.what();
-        return report;
-    }
-
-    if (!translation.ok) {
-        // With a plan armed and faults fired, exhausting the ladder is a
-        // *clean* pin to the CPU -- the hardening absorbed the injection
-        // (results are trivially correct on the reference path).  Without
-        // fires it is an ordinary reject of a too-hard loop.
-        if (injector.has_value() && report.faults_fired > 0) {
-            report.outcome = OracleOutcome::kFaultRecovered;
-            std::ostringstream os;
-            os << "pinned to CPU after " << report.faults_fired
-               << " fault fires: " << toString(translation.reject);
-            report.detail = os.str();
-            return report;
-        }
-        report.outcome = OracleOutcome::kTranslatorReject;
-        report.detail = toString(translation.reject);
-        if (!translation.reject_detail.empty())
-            report.detail += ": " + translation.reject_detail;
-        return report;
-    }
-    report.ii = translation.schedule.ii;
-
-    ExecutionResult reference;
-    ExecutionResult accelerated;
-    try {
-        if (options.perturb)
-            options.perturb(translation);
-
-        // Every accepted translation must satisfy every structural
-        // invariant plus register-file capacity via the allocator's
-        // live ranges.
-        if (translation.graph.has_value()) {
-            const auto violation =
-                validateSchedule(*translation.graph, config,
-                                 translation.schedule, loop,
-                                 translation.analysis);
-            if (violation.has_value()) {
-                std::ostringstream os;
-                os << *violation;
-                report.outcome = OracleOutcome::kValidatorReject;
-                report.detail = os.str();
-                return report;
-            }
-        }
-
-        const ExecutionInput input =
-            makeFuzzInput(loop, seed, options.iterations);
-        reference = interpretLoop(loop, input);
-        accelerated = executeOnAccelerator(loop, translation, input);
-    } catch (const PanicError& panic) {
-        report.outcome = OracleOutcome::kCrashGuard;
-        report.detail = std::string("execution panic: ") + panic.what();
-        return report;
-    }
-
-    if (auto diff = firstDifference(reference, accelerated)) {
-        report.outcome = OracleOutcome::kDivergence;
-        report.detail = *diff;
-        return report;
-    }
-    if (injector.has_value() &&
-        (report.faults_fired > 0 ||
-         report.rung != DegradationRung::kNominal)) {
-        // The ladder produced a translation despite the injection and it
-        // still matched the interpreter bit for bit.
-        report.outcome = OracleOutcome::kFaultRecovered;
-        std::ostringstream os;
-        os << "recovered at rung " << toString(report.rung) << " after "
-           << report.faults_fired << " fault fires";
-        report.detail = os.str();
-        return report;
-    }
-    report.outcome = OracleOutcome::kPass;
-    return report;
+    return runOracleBatch({{&loop, &config, seed, options}}).front();
 }
 
 std::vector<OracleReport>
@@ -242,9 +139,6 @@ runOracleBatch(const std::vector<OracleCase>& cases,
     pending.reserve(cases.size());
 
     // --- Per-case front half: translate, classify rejects, validate.
-    // Phase for phase the same flow as runOracle(); splitting its one
-    // execution try block per phase is behaviour-preserving because the
-    // phases run in the same order and only PanicError ever escapes.
     for (std::size_t index = 0; index < cases.size(); ++index) {
         const OracleCase& one = cases[index];
         const Loop& loop = *one.loop;
@@ -258,23 +152,14 @@ runOracleBatch(const std::vector<OracleCase>& cases,
 
         TranslationResult translation;
         try {
-            StaticAnnotations annotations;
-            const StaticAnnotations* annotations_ptr = nullptr;
-            if (options.mode ==
-                TranslationMode::kHybridStaticCcaPriority) {
-                annotations = precompileAnnotations(loop, config);
-                annotations_ptr = &annotations;
-            }
             if (injector.has_value()) {
                 LadderOutcome outcome = climbTranslationLadder(
-                    loop, config, options.mode, annotations_ptr,
-                    &*injector);
+                    loop, config, options.mode, nullptr, &*injector);
                 translation = std::move(outcome.translation);
                 report.rung = outcome.rung;
                 report.faults_fired = injector->totalFired();
             } else {
-                translation = translateLoop(loop, config, options.mode,
-                                            annotations_ptr);
+                translation = translateLoop(loop, config, options.mode);
             }
         } catch (const PanicError& panic) {
             report.outcome = OracleOutcome::kCrashGuard;

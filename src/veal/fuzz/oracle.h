@@ -104,7 +104,8 @@ ExecutionInput makeFuzzInput(const Loop& loop, std::uint64_t seed,
                              std::int64_t iterations);
 
 /**
- * Run the full differential pipeline for (@p loop, @p config, @p seed).
+ * Run the full differential pipeline for (@p loop, @p config, @p seed):
+ * runOracleBatch() over that one case.
  *
  * Thread-safety: pure function of its arguments (the panic guard is
  * thread-local), so fuzz workers may run oracles concurrently.
@@ -127,9 +128,9 @@ class BatchSimulator;
  * Run many differential pipelines, feeding every reference
  * interpretation the batch engine can take (see interpretable()) to one
  * data-parallel interpretBatch() call; lanes it cannot take fall back to
- * the scalar interpreter so their panics still classify per case.
- * Reports are index-aligned with @p cases and identical to running
- * runOracle() on each case alone, for any batch width or grouping.
+ * interpretLoop() one at a time, so their panics still classify per
+ * case.  Reports are index-aligned with @p cases, and each equals the
+ * case's runOracle() alone, for any batch width or grouping.
  *
  * @p simulator optionally reuses one worker's arenas across blocks;
  * pass nullptr for a transient one.

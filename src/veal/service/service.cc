@@ -552,15 +552,8 @@ TranslationService::drainTick()
             // decided this key needs a fresh translation).
             cache.lookup(job.key);
             (void)warm_.find(job.key);
-            StaticAnnotations annotations;
-            const StaticAnnotations* annotations_ptr = nullptr;
-            if (job.mode == TranslationMode::kHybridStaticCcaPriority) {
-                annotations =
-                    precompileAnnotations(*job.loop, *job.la);
-                annotations_ptr = &annotations;
-            }
             job.ladder = climbTranslationLadder(
-                *job.loop, *job.la, job.mode, annotations_ptr,
+                *job.loop, *job.la, job.mode, nullptr,
                 job.injector.has_value() ? &*job.injector : nullptr);
             job.summary = persist::summarize(job.ladder.translation);
             if (job.ladder.translation.ok) {

@@ -8,9 +8,10 @@
  * Campaign drivers (fuzz, faultsim, sweeps) spend their cycles in three
  * per-invocation kernels: the in-order CPU timing model (cpu_sim), the
  * functional interpreter (interpreter), and the LA invocation cost model
- * (la_timing).  All three advance one loop invocation at a time and pay
- * per-call allocation: the interpreter in particular copies the whole
- * sparse MemoryImage and grows one history vector per operation.
+ * (la_timing).  Their scalar originals (frozen in veal/sim/reference.h)
+ * advance one loop invocation at a time and pay per-call allocation:
+ * the interpreter in particular copies the whole sparse MemoryImage and
+ * grows one history vector per operation.
  *
  * BatchSimulator restructures them for data-parallel rollouts:
  *
@@ -36,11 +37,15 @@
  * mutable state, so grouping is a scheduling choice, not a semantic
  * one.
  *
- * Panics: interpretBatch() mirrors interpretLoop()'s preconditions per
- * lane (the loop verifies and contains no kCall ops), but a violation
- * aborts the whole call.  Callers that need per-lane isolation (the
- * fuzz oracle) screen lanes with interpretable() first and route the
- * rest through the scalar interpreter.
+ * One live implementation per kernel: simulateLoopOnCpu() and
+ * interpretLoop() are one-lane calls into this engine, and the frozen
+ * originals in veal/sim/reference.h are the oracles.
+ *
+ * Panics: interpretBatch() requires per lane that the loop verifies and
+ * contains no kCall ops, and a violation aborts the whole call.
+ * Callers that need per-lane isolation (the fuzz oracle, the fault
+ * campaign) screen lanes with interpretable() first and route the rest
+ * through interpretLoop() one at a time.
  */
 
 #include <cstdint>
@@ -110,8 +115,8 @@ struct LaCostRequest {
 
 /**
  * True when interpretBatch() can take @p loop as a lane: it verifies
- * and has no kCall ops.  Exactly the loops the scalar interpreter would
- * execute without panicking.
+ * and has no kCall ops.  Exactly the loops interpretLoop() runs without
+ * panicking.
  */
 bool interpretable(const Loop& loop);
 

@@ -1,9 +1,9 @@
 #include "veal/sim/interpreter.h"
 
-#include <bit>
-#include <cmath>
+#include <utility>
 #include <vector>
 
+#include "veal/sim/batch.h"
 #include "veal/support/assert.h"
 
 namespace veal {
@@ -20,92 +20,7 @@ interpretLoop(const Loop& loop, const ExecutionInput& input)
 {
     VEAL_ASSERT(!loop.verify().has_value(), "malformed loop ",
                 loop.name());
-    const int n = loop.size();
-    const auto order = loop.topologicalOrder();
-
-    ExecutionResult result;
-    result.memory = input.memory;
-
-    // Value history: values[op][iteration]; iteration < 0 reads initial.
-    int max_distance = 0;
-    for (const auto& edge : loop.allEdges())
-        max_distance = std::max(max_distance, edge.distance);
-    std::vector<std::vector<std::int64_t>> history(
-        static_cast<std::size_t>(n));
-
-    auto value_at = [&](OpId id, std::int64_t iteration) -> std::int64_t {
-        const Operation& producer = loop.op(id);
-        if (producer.opcode == Opcode::kConst)
-            return producer.immediate;
-        if (producer.opcode == Opcode::kLiveIn) {
-            // Loop-invariant: the value "d iterations ago" is the value.
-            const auto it = input.live_ins.find(id);
-            return it != input.live_ins.end() ? it->second : 0;
-        }
-        if (iteration < 0) {
-            const auto it = input.initial.find(id);
-            return it != input.initial.end() ? it->second : 0;
-        }
-        return history[static_cast<std::size_t>(id)]
-                      [static_cast<std::size_t>(iteration)];
-    };
-
-    for (std::int64_t iteration = 0; iteration < input.iterations;
-         ++iteration) {
-        for (const OpId id : order) {
-            const Operation& op = loop.op(id);
-            std::int64_t value = 0;
-            switch (op.opcode) {
-              case Opcode::kLiveIn: {
-                const auto it = input.live_ins.find(id);
-                value = it != input.live_ins.end() ? it->second : 0;
-                break;
-              }
-              case Opcode::kLoad: {
-                const std::int64_t address =
-                    value_at(op.inputs[0].producer,
-                             iteration - op.inputs[0].distance);
-                const auto& array = result.memory[op.symbol];
-                const auto it = array.find(address);
-                value = it != array.end() ? it->second : 0;
-                break;
-              }
-              case Opcode::kStore: {
-                const std::int64_t address =
-                    value_at(op.inputs[0].producer,
-                             iteration - op.inputs[0].distance);
-                result.memory[op.symbol][address] =
-                    value_at(op.inputs[1].producer,
-                             iteration - op.inputs[1].distance);
-                break;
-              }
-              case Opcode::kBranch:
-                break;  // Loop control is the trip count here.
-              case Opcode::kCall:
-                panic("interpretLoop: cannot execute call in ",
-                      loop.name());
-              default: {
-                std::vector<std::int64_t> inputs;
-                inputs.reserve(op.inputs.size());
-                for (const auto& operand : op.inputs) {
-                    inputs.push_back(value_at(
-                        operand.producer, iteration - operand.distance));
-                }
-                value = evaluateOp(op.opcode, inputs, op.immediate);
-                break;
-              }
-            }
-            history[static_cast<std::size_t>(id)].push_back(value);
-        }
-    }
-
-    for (const auto& op : loop.operations()) {
-        if (op.is_live_out) {
-            result.live_outs[op.id] =
-                value_at(op.id, input.iterations - 1);
-        }
-    }
-    return result;
+    return std::move(interpretBatch({{&loop, &input}}).front());
 }
 
 }  // namespace veal

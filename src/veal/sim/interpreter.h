@@ -11,6 +11,11 @@
  * executor (veal/sim/la_executor.h) is checked against: a valid modulo
  * schedule must compute byte-identical memory and scalar results.
  *
+ * The semantics have one live implementation, the batch engine
+ * (BatchSimulator::interpretBatch in veal/sim/batch.h); interpretLoop()
+ * is its one-lane form, and reference::interpretLoop the frozen oracle
+ * both are tested against.
+ *
  * Values are 64-bit integers; floating-point opcodes operate on doubles
  * carried in the same 64 bits via bit casts, so both engines are exactly
  * deterministic.
@@ -59,8 +64,10 @@ struct ExecutionResult {
 };
 
 /**
- * Execute @p loop on the reference interpreter.
- * @pre the loop verifies and contains no kCall ops.
+ * Execute @p loop: asserts that it verifies, then runs it as one
+ * interpretBatch() lane.
+ * @pre the loop contains no kCall ops (the batch compile panics on one,
+ * so a caller's panic guard still classifies the case).
  */
 ExecutionResult interpretLoop(const Loop& loop, const ExecutionInput& input);
 

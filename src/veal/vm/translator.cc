@@ -5,7 +5,6 @@
 #include "veal/sched/mii.h"
 #include "veal/sched/scheduler.h"
 #include "veal/support/assert.h"
-#include "veal/support/logging.h"
 
 namespace veal {
 
@@ -53,6 +52,15 @@ toString(DegradationRung rung)
       case DegradationRung::kCpuPinned: return "cpu-pinned";
     }
     return "unknown";
+}
+
+bool
+ladderCanRecover(TranslationReject reject)
+{
+    return reject == TranslationReject::kScheduleFailed ||
+           reject == TranslationReject::kTooFewRegisters ||
+           reject == TranslationReject::kCcaMapping ||
+           reject == TranslationReject::kBudgetExhausted;
 }
 
 double
@@ -116,6 +124,24 @@ orderFromStaticRanks(const SchedGraph& graph,
     return order;
 }
 
+/**
+ * @p annotations, or -- for a hybrid-mode caller that passed none --
+ * the static compiler's own, derived into @p storage.  Deriving them is
+ * unmetered: it models work done offline, before the binary ships.
+ */
+const StaticAnnotations*
+hybridAnnotations(const Loop& loop, const LaConfig& config,
+                  TranslationMode mode,
+                  const StaticAnnotations* annotations,
+                  StaticAnnotations& storage)
+{
+    if (mode != TranslationMode::kHybridStaticCcaPriority ||
+        annotations != nullptr)
+        return annotations;
+    storage = precompileAnnotations(loop, config);
+    return &storage;
+}
+
 }  // namespace
 
 TranslationResult
@@ -131,7 +157,9 @@ TranslationResult
 translateLoop(const Loop& loop, const LaConfig& config,
               TranslationMode mode, const TranslationOptions& options)
 {
-    const StaticAnnotations* annotations = options.annotations;
+    StaticAnnotations derived;
+    const StaticAnnotations* annotations = hybridAnnotations(
+        loop, config, mode, options.annotations, derived);
     TranslationResult result;
     result.mode = mode;
     CostMeter& meter = result.meter;
@@ -190,17 +218,12 @@ translateLoop(const Loop& loop, const LaConfig& config,
         // abstracted subgraphs simply execute as individual ops (the
         // encoding is plain branch-and-link code).
         result.mapping = emptyCcaMapping(loop);
-    } else if (hybrid && annotations != nullptr &&
-               annotations->cca_mapping.has_value()) {
+    } else if (hybrid && annotations->cca_mapping.has_value()) {
         result.mapping = *annotations->cca_mapping;
         // Decode cost: recognise the Brl-CCA calls in one pass.
         meter.charge(TranslationPhase::kCcaMapping,
                      static_cast<std::uint64_t>(loop.size()));
     } else {
-        if (hybrid && annotations == nullptr) {
-            warn("hybrid translation of ", loop.name(),
-                 " without annotations; computing dynamically");
-        }
         result.mapping = mapToCca(loop, result.analysis, *config.cca,
                                   config.latencies, &meter,
                                   options.faults);
@@ -229,8 +252,7 @@ translateLoop(const Loop& loop, const LaConfig& config,
 
     // --- Priority: static ranks, cheap height, or full swing.
     NodeOrder order;
-    if (hybrid && annotations != nullptr &&
-        annotations->op_priority.has_value()) {
+    if (hybrid && annotations->op_priority.has_value()) {
         order = orderFromStaticRanks(graph, *annotations->op_priority,
                                      &meter);
     } else if (mode == TranslationMode::kFullyDynamicHeight) {
@@ -342,6 +364,9 @@ climbTranslationLadder(const Loop& loop, const LaConfig& config,
         {DegradationRung::kNoCca, 2, true, 2},
     };
 
+    StaticAnnotations derived;
+    annotations =
+        hybridAnnotations(loop, config, mode, annotations, derived);
     LadderOutcome outcome;
     for (const auto& rung : kRungs) {
         TranslationOptions options;
@@ -357,15 +382,9 @@ climbTranslationLadder(const Loop& loop, const LaConfig& config,
             outcome.rung = rung.rung;
             return outcome;
         }
-        // A nominal *clean* reject (analysis, stream limits, missing
-        // FU) is not a fault: the loop genuinely does not fit this LA,
-        // and no relaxation below changes that verdict.
-        const bool recoverable =
-            attempt.reject == TranslationReject::kScheduleFailed ||
-            attempt.reject == TranslationReject::kTooFewRegisters ||
-            attempt.reject == TranslationReject::kCcaMapping ||
-            attempt.reject == TranslationReject::kBudgetExhausted;
-        if (!recoverable) {
+        // A nominal *clean* reject is not a fault: no relaxation below
+        // changes that verdict.
+        if (!ladderCanRecover(attempt.reject)) {
             outcome.translation = std::move(attempt);
             outcome.rung = DegradationRung::kCpuPinned;
             return outcome;

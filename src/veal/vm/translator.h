@@ -155,15 +155,15 @@ struct TranslationOptions {
  *
  * Thread-safety: a pure function of its arguments -- every product
  * (graph, schedule, registers, CostMeter) lives inside the returned
- * TranslationResult, and nothing global is written except the log sink
- * on the annotation-fallback warning.  Concurrent sweep threads
- * therefore never share a mutable translation.  (A FaultInjector passed
- * via TranslationOptions is mutable run state owned by the caller and
- * must stay thread-confined.)
+ * TranslationResult, and nothing global is written.  Concurrent sweep
+ * threads therefore never share a mutable translation.  (A
+ * FaultInjector passed via TranslationOptions is mutable run state
+ * owned by the caller and must stay thread-confined.)
  *
- * @param annotations required for kHybridStaticCcaPriority (falls back to
- *        dynamic computation with a warning when absent); ignored for the
- *        fully dynamic modes.
+ * @param annotations read by kHybridStaticCcaPriority only.  When a
+ *        hybrid caller passes none, the translator derives them with
+ *        precompileAnnotations(@p loop, @p config), unmetered (the
+ *        static compiler's work happened offline).
  */
 TranslationResult translateLoop(const Loop& loop, const LaConfig& config,
                                 TranslationMode mode,
@@ -192,6 +192,14 @@ enum class DegradationRung : int {
 /** Rung name, e.g. "relaxed-ii". */
 const char* toString(DegradationRung rung);
 
+/**
+ * True for the rejects the ladder can recover from: schedule failure,
+ * register shortfall, CCA mapping and budget exhaustion.  Any other
+ * reject (bad analysis, stream overflow, a missing FU class) means the
+ * loop genuinely does not fit the LA, and every rung fails it alike.
+ */
+bool ladderCanRecover(TranslationReject reject);
+
 /** What climbing the loop-level ladder produced. */
 struct LadderOutcome {
     /** The final attempt (ok, or the last failure when pinned). */
@@ -215,6 +223,8 @@ struct LadderOutcome {
  * rung fails; the caller decides whether a no-fission retry applies.
  * With @p faults == nullptr the nominal rung is bit-identical to
  * translateLoop() and later rungs only engage on genuine failures.
+ * Hybrid annotations the caller did not pass are derived once per
+ * climb, as translateLoop() would.
  */
 LadderOutcome climbTranslationLadder(const Loop& loop,
                                      const LaConfig& config,

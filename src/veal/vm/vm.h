@@ -38,6 +38,8 @@ struct VmOptions {
     /**
      * Fraction of invocations that must re-translate despite the cache
      * (Figure 6's miss-rate lines).  0 = each loop translates once.
+     * Analytic dispatch only: a fault run's simulated cache decides its
+     * own misses.
      */
     double retranslation_rate = 0.0;
 
@@ -175,43 +177,48 @@ class VirtualMachine {
   public:
     VirtualMachine(LaConfig la, CpuConfig baseline, VmOptions options);
 
-    /** Run @p app to completion and report timing. */
-    AppRunResult run(const Application& app) const;
-
     /**
-     * As run(), additionally reporting into @p registry (counters
-     * "vm.*", the "vm.ii" histogram, and per-loop trace events; see
-     * DESIGN.md §10).  The per-phase "vm.phase_cycles.*" counters this
-     * run adds sum *exactly* to the returned translation_cycles -- the
-     * attribution is audited with an assertion, not approximated.
-     * @p registry may be nullptr (equivalent to the plain overload) and
-     * may already hold counts from earlier runs (deltas accumulate).
+     * Run @p app to completion and report timing.  One run in three
+     * phases over one site/piece record:
+     *
+     *  1. Translate.  With no injector, each piece (each fissioned
+     *     piece, or else the site loop) gets one translateLoop(); a
+     *     failed piece runs on the CPU and the first reject is the site
+     *     verdict.  With @p faults, each piece climbs the degradation
+     *     ladder (relaxed II -> no CCA), then the site gets one
+     *     no-fission retry, then a CPU pin (DESIGN.md §11).
+     *  2. Dispatch.  Both models fill the same per-piece counts:
+     *     translations charged, LA invocations at the miss and at the
+     *     hit price, and CPU invocations.  With no injector they come
+     *     from Figure 6's analytic model: code_cache_entries and
+     *     retranslation_rate set the miss count (the fits/thrash fixed
+     *     point of DESIGN.md §10), and the cheaper of LA and CPU takes
+     *     each piece.  With @p faults they
+     *     come from a simulated round-robin dispatch through a real
+     *     CodeCache of code_cache_entries, which checksums every cached
+     *     control image, re-translates invalidated pieces and
+     *     quarantines ones that keep corrupting; ok pieces always take
+     *     the LA, and retranslation_rate does not apply.
+     *  3. Account.  One loop turns the counts into the result, the
+     *     registry and the fault report.  penalty_override replaces the
+     *     metered penalty of every translation that is kept, and tlb
+     *     prices and meters ("vm.tlb.*") LA invocations, in both modes.
+     *
+     * @p registry, when non-null, receives counters "vm.*", the "vm.ii"
+     * histogram and per-piece trace events (DESIGN.md §10), and may
+     * already hold counts from earlier runs (deltas accumulate).  The
+     * per-phase "vm.phase_cycles.*" counters a run adds sum *exactly*
+     * to the returned translation_cycles -- the attribution is audited
+     * with an assertion, not approximated.  An armed @p faults changes
+     * only the translation policy, the dispatch model and the
+     * "vm.fault.*" telemetry; architectural results stay bit-identical
+     * to the interpreter under *any* fault plan, only timing degrades.
+     * @p fault_report, when non-null, is reset and -- in a fault run --
+     * receives the per-site recovery story.
      */
     AppRunResult run(const Application& app,
-                     metrics::Registry* registry) const;
-
-    /**
-     * Hardened run: as run(app, registry) but with @p faults injecting
-     * deterministic failures into the translation pipeline, which the VM
-     * survives by climbing the degradation ladder (relaxed II -> no CCA
-     * -> no fission -> pinned CPU), validating control-image checksums
-     * before every cached dispatch, and quarantining sites whose images
-     * keep corrupting (DESIGN.md §11).  Architectural results are
-     * bit-identical to the interpreter under *any* fault plan; only
-     * timing degrades.  @p faults == nullptr delegates to the nominal
-     * overload.  Fault-taxonomy counters land under "vm.fault.*"; the
-     * per-run story is written to @p fault_report when non-null.
-     *
-     * The cache is *simulated* here (round-robin dispatch through a real
-     * CodeCache) rather than modelled, LA-ok pieces always take the LA
-     * path, and VmOptions::retranslation_rate / penalty_override do not
-     * apply -- this overload answers "does the VM survive faults", not
-     * Figure 6's analytic sweep.  VmOptions::tlb does apply: LA
-     * dispatches are priced and metered ("vm.tlb.*") exactly as in the
-     * nominal overload.
-     */
-    AppRunResult run(const Application& app, metrics::Registry* registry,
-                     FaultInjector* faults,
+                     metrics::Registry* registry = nullptr,
+                     FaultInjector* faults = nullptr,
                      FaultRunReport* fault_report = nullptr) const;
 
     const LaConfig& laConfig() const { return la_; }

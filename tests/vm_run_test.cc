@@ -234,7 +234,7 @@ TEST(VmRunTest, SiteRejectReportsTheFirstFailedPiece)
 TEST(VmRunTest, BaselineCyclesMatchCpuOnly)
 {
     // On every preset, acyclic scaling included: cpuOnlyCycles is the
-    // speedup baseline, so both run bodies must agree with it.
+    // speedup baseline, so nominal and fault runs must agree with it.
     const auto app = makeSimpleApp();
     VmOptions options;
     options.mode = TranslationMode::kStatic;
