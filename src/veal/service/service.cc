@@ -64,6 +64,35 @@ renderCountMap(std::ostringstream& os, const char* label,
     os << "\n";
 }
 
+/** The RequestCounts counter of each CacheOutcome, in enum order. */
+constexpr std::array<std::int64_t RequestCounts::*, 6> kCacheCounters = {
+    &RequestCounts::cold,        &RequestCounts::warm,
+    &RequestCounts::coalesced,   &RequestCounts::invalidated,
+    &RequestCounts::quarantined, &RequestCounts::persisted,
+};
+
+/**
+ * Verify-before-trust of a cached control image, as the hardened VM
+ * does before a cached dispatch.  The cache-corruption probe of
+ * @p injector flips one bit of a *copy* of @p words (null or empty: a
+ * negative entry, nothing to verify), and the copy must still match
+ * @p expected -- the checksum stored at publish, or, when unset, that
+ * of the untouched words.  True when it does not.
+ */
+bool
+corruptedOnServe(std::optional<FaultInjector>& injector,
+                 const std::vector<std::uint32_t>* words,
+                 std::optional<std::uint32_t> expected)
+{
+    if (!injector.has_value() || words == nullptr || words->empty() ||
+        !injector->probe(FaultSite::kCacheCorruption))
+        return false;
+    ControlImage copy = ControlImage::fromWords(*words);
+    const std::uint32_t stored = expected.value_or(copy.checksum());
+    copy.flipBit(injector->corruptionBit(copy.words().size() * 32));
+    return copy.checksum() != stored;
+}
+
 }  // namespace
 
 const char*
@@ -222,56 +251,37 @@ TranslationService::submit(ServiceRequest request)
     return log.admission;
 }
 
-void
-TranslationService::drainTick()
-{
-    ++report_.ticks;
-    const std::int64_t epoch = report_.ticks;
-    if (registry_ != nullptr)
-        registry_->add("service.ticks");
-
-    // Pull this tick's admitted requests back out of the queue.  The
-    // queue is FIFO and filled from the sequenced submit() path, so the
-    // pop order *is* the sequence order.
-    std::vector<Pending> admitted;
-    while (auto item = queue_.tryPop())
-        admitted.push_back(std::move(*item));
-
-    const int shards = std::max(1, options_.shards);
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, options_.batch));
-
-    // ---- Phase 1: sequential planning, in sequence order.  Fixes the
-    // logical cache taxonomy (which is therefore shard-count invariant)
-    // and the fresh-translation work list; prices the baseline CPU of
-    // every request whose key's warm entry holds a covering CpuProfile
-    // (the rest become phase-2 CPU lanes); performs every warm-tier
-    // WRITE of the consult path (invalidations) so the parallel phase
-    // below only ever reads.
+/**
+ * One tick: its admitted requests, what planning decided for each, and
+ * what the later phases computed from that.  drainTick() passes it from
+ * phase to phase; no other state flows between the phases.
+ */
+struct TranslationService::TickPlan {
+    /** A fresh translation.  Its inputs -- loop, key, mode, backend and
+        fault stream -- are its owner's request and plan. */
     struct Job {
-        std::size_t admitted_index = 0;
-        const Loop* loop = nullptr;
-        std::string key;
-        TranslationMode mode = TranslationMode::kFullyDynamic;
-        std::optional<FaultInjector> injector;
-        /** Design point to translate against (fleet steering). */
-        const LaConfig* la = nullptr;
-        int backend = -1;  ///< Fleet backend index (-1: single design).
-        // Parallel-phase products.
+        std::size_t owner = 0;  ///< Admitted index of the planning request.
+        // Execute-phase products.
         LadderOutcome ladder;
         std::optional<ControlImage> image;
         /** The ladder result's summary: the store record, the warm-tier
             entry and every LA price of this job's serves. */
         persist::TranslationSummary summary;
     };
+
+    /** What one admitted request was planned and priced at. */
     struct PlanInfo {
         CacheOutcome cache = CacheOutcome::kCold;
-        int job = -1;           ///< Own fresh translation.
-        int provider_job = -1;  ///< Coalesced: the provider's job.
+        /** The job serving this request: its own when it translates,
+            its provider's when coalesced (-1: none). */
+        int job = -1;
         WarmTier::EntryRef warm_entry;
         /** Persisted serve: the store-loaded blob (shared per tick). */
         std::shared_ptr<const persist::PersistedImage> persisted;
-        std::optional<FaultInjector> injector;  ///< Warm-verify probes.
+        /** The request's fault stream (fault_seed set, not quarantined
+            at planning): the consult's verify probes it, and the job the
+            request owns borrows it to translate. */
+        std::optional<FaultInjector> injector;
         // Fleet steering (all no-ops when --fleet is off).
         int backend = -1;        ///< Serving backend (-1: baseline/CPU).
         bool placed_now = false; ///< Placement minted by this request.
@@ -279,35 +289,112 @@ TranslationService::drainTick()
         enum class ScoreSource { kNone, kComputed, kWarm, kPersisted };
         ScoreSource score_source = ScoreSource::kNone;
         int cpu_lane = -1;  ///< Into cpu_lanes (-1: priced in planning).
+        // Price-phase products; the LA prices only for an ok summary.
+        const persist::TranslationSummary* summary = nullptr;
+        std::int64_t la_first_cycles = 0;  ///< The job owner's only.
+        std::int64_t la_warm_cycles = 0;
+        TlbCharge tlb_first;
+        TlbCharge tlb_warm;
     };
-    std::vector<PlanInfo> plans(admitted.size());
-    std::vector<std::int64_t> cpu_cycles(admitted.size(), 0);
-    std::vector<std::size_t> cpu_lanes;  // Admitted indices, in order.
+
+    std::int64_t epoch = 0;
+    std::vector<Pending> admitted;  ///< In sequence order.
+    std::vector<PlanInfo> plans;    ///< One per admitted request.
+    std::vector<Job> jobs;
+    std::vector<std::int64_t> cpu_cycles;   ///< One per admitted request.
+    std::vector<std::size_t> cpu_lanes;     ///< Admitted indices, in order.
+    std::vector<CpuProfile> lane_profiles;  ///< One per CPU lane.
+
+    /** True when admitted request @p i owns its job (it translated). */
+    bool fresh(std::size_t i) const
+    {
+        const int job = plans[i].job;
+        return job >= 0 && jobs[static_cast<std::size_t>(job)].owner == i;
+    }
+};
+
+void
+TranslationService::drainTick()
+{
+    ++report_.ticks;
+    if (registry_ != nullptr)
+        registry_->add("service.ticks");
+    TickPlan tick = planTick();
+    executeTick(tick);
+    priceTick(tick);
+    reduceTick(tick);
+}
+
+/**
+ * Plan, sequential in sequence order: pop the tick and fix the logical
+ * cache taxonomy (so it is shard-count invariant) and the fresh
+ * translation jobs; price the baseline CPU of every request whose key's
+ * warm entry holds a covering CpuProfile (the rest become CPU lanes);
+ * and perform every warm-tier write of the consult, so the parallel
+ * phase never touches the tier.
+ */
+TranslationService::TickPlan
+TranslationService::planTick()
+{
+    using PlanInfo = TickPlan::PlanInfo;
+    TickPlan tick;
+    tick.epoch = report_.ticks;
+    // The queue is FIFO and filled from the sequenced submit() path, so
+    // the pop order *is* the sequence order.
+    while (auto item = queue_.tryPop())
+        tick.admitted.push_back(std::move(*item));
+    tick.plans.resize(tick.admitted.size());
+    tick.cpu_cycles.assign(tick.admitted.size(), 0);
+
     const auto price_cpu = [&](std::size_t i,
                                const WarmTier::Entry* entry) {
-        const std::int64_t iterations = admitted[i].request.iterations;
+        const std::int64_t iterations = tick.admitted[i].request.iterations;
         if (entry != nullptr && entry->cpu_profile.covers(iterations)) {
-            cpu_cycles[i] = entry->cpu_profile.totalAt(iterations);
+            tick.cpu_cycles[i] = entry->cpu_profile.totalAt(iterations);
         } else {
-            plans[i].cpu_lane = static_cast<int>(cpu_lanes.size());
-            cpu_lanes.push_back(i);
+            tick.plans[i].cpu_lane = static_cast<int>(tick.cpu_lanes.size());
+            tick.cpu_lanes.push_back(i);
         }
     };
-    std::vector<Job> jobs;
     std::map<std::string, int> tick_provider;  // key -> job index.
     // One store load per key per tick: later same-tick requests share
     // the first load's blob (and its hit accounting).
     std::map<std::string, std::shared_ptr<const persist::PersistedImage>>
         tick_persisted;
+    // A cached image failed its verify: drop the key everywhere -- warm
+    // tier, shard caches, the persistent store (a surviving blob would
+    // resurrect the image on the next run) and this tick's loads --
+    // then strike the (tenant, key) pair.  True when that quarantines
+    // it; otherwise the request re-translates.
+    const auto strike = [&](const std::pair<int, std::string>& qkey) {
+        const std::string& key = qkey.second;
+        warm_.invalidate(key);
+        for (const auto& cache : shard_caches_)
+            cache->erase(key);
+        if (persistent_ != nullptr)
+            persistent_->invalidate(key);
+        tick_persisted.erase(key);
+        const int strikes = ++strikes_[qkey];
+        if (registry_ != nullptr)
+            registry_->trace("service", "invalidate", key, strikes);
+        if (strikes < options_.quarantine_strikes)
+            return false;
+        quarantined_.insert(qkey);
+        return true;
+    };
 
-    for (std::size_t i = 0; i < admitted.size(); ++i) {
-        const ServiceRequest& request = admitted[i].request;
-        PlanInfo& plan = plans[i];
+    for (std::size_t i = 0; i < tick.admitted.size(); ++i) {
+        const ServiceRequest& request = tick.admitted[i].request;
+        PlanInfo& plan = tick.plans[i];
         const auto qkey = std::make_pair(request.tenant, request.key);
         if (quarantined_.count(qkey) != 0) {
             plan.cache = CacheOutcome::kQuarantined;
             price_cpu(i, warm_.find(request.key).get());
             continue;
+        }
+        if (options_.fault_seed.has_value()) {
+            plan.injector.emplace(FaultPlan::sample(makeServicePlanSeed(
+                *options_.fault_seed, tick.admitted[i].sequence)));
         }
 
         // Fleet steering: a key's placement is sticky for the whole
@@ -316,175 +403,97 @@ TranslationService::drainTick()
         std::optional<fleet::Placement> placement;
         if (fleetEnabled())
             placement = steerer_->lookup(request.key);
+        const auto place = [&](const persist::FleetScoreSet& scores,
+                               PlanInfo::ScoreSource source) {
+            placement = steerer_->place(request.key, scores);
+            plan.placed_now = true;
+            plan.spill_rank = placement->spill_rank;
+            plan.score_source = source;
+        };
 
+        // Consult the warm tier, then the store on a miss: one real
+        // load per key per tick, skipped when a same-tick job is
+        // already translating the key.
         WarmTier::EntryRef entry = warm_.serve(request.key);
         price_cpu(i, entry.get());
-        bool translate_needed = false;
-        if (entry != nullptr) {
-            // Warm consult: verify the control image first, exactly as
-            // the hardened VM does before a cached dispatch.
-            bool corrupted = false;
-            if (options_.fault_seed.has_value()) {
-                plan.injector.emplace(FaultPlan::sample(
-                    makeServicePlanSeed(*options_.fault_seed,
-                                        admitted[i].sequence)));
-                if (entry->image.has_value() &&
-                    plan.injector->probe(FaultSite::kCacheCorruption)) {
-                    const auto target = warm_.mutableEntry(request.key);
-                    target->image->flipBit(plan.injector->corruptionBit(
-                        target->image->words().size() * 32));
-                    corrupted = target->image->checksum() !=
-                                target->expected_checksum;
+        std::shared_ptr<const persist::PersistedImage> blob;
+        if (entry == nullptr && persistent_ != nullptr) {
+            if (const auto cached = tick_persisted.find(request.key);
+                cached != tick_persisted.end()) {
+                blob = cached->second;
+            } else if (tick_provider.count(request.key) == 0) {
+                if (auto image = persistent_->load(request.key)) {
+                    blob = std::make_shared<const persist::PersistedImage>(
+                        std::move(*image));
+                    tick_persisted[request.key] = blob;
                 }
             }
-            if (!corrupted) {
+            // Fleet gate: a blob is only fleet-servable when it carries
+            // scores minted under this exact fleet AND its translation
+            // targets the backend the steerer picks.  Anything else is
+            // a miss; the cold retranslation overwrites the blob with
+            // freshly-scored v2 contents.
+            if (blob != nullptr && fleetEnabled()) {
+                const auto& s = blob->summary;
+                const bool usable =
+                    s.fleet.has_value() &&
+                    s.fleet->signature == scorer_->signature();
+                if (usable && !placement.has_value()) {
+                    auto scores =
+                        std::make_shared<const persist::FleetScoreSet>(
+                            *s.fleet);
+                    warm_.publishScores(request.key, scores);
+                    place(*scores, PlanInfo::ScoreSource::kPersisted);
+                }
+                if (!usable || placement->backend < 0 ||
+                    placement->backend != s.fleet_backend)
+                    blob = nullptr;
+            }
+        }
+
+        if (entry != nullptr || blob != nullptr) {
+            // Verify before trust.  A blob's FNV checksum validated on
+            // load, but the image can still be corrupted between load
+            // and dispatch.
+            const bool corrupted =
+                entry != nullptr
+                    ? corruptedOnServe(plan.injector,
+                                       entry->image.has_value()
+                                           ? &entry->image->words()
+                                           : nullptr,
+                                       entry->expected_checksum)
+                    : corruptedOnServe(plan.injector, &blob->image_words,
+                                       std::nullopt);
+            if (!corrupted && entry != nullptr) {
                 plan.cache = CacheOutcome::kWarm;
+                plan.backend = entry->backend;
                 plan.warm_entry = std::move(entry);
-                plan.backend = plan.warm_entry->backend;
                 continue;
-            }
-            // Checksum mismatch: drop the entry everywhere -- warm
-            // tier, shard caches, AND the persistent store (the third
-            // owner: leaving the blob would resurrect the image on the
-            // next run) -- strike the (tenant, key) pair, and either
-            // quarantine it or queue a re-translation for this very
-            // request.
-            warm_.invalidate(request.key);
-            for (const auto& cache : shard_caches_)
-                cache->erase(request.key);
-            if (persistent_ != nullptr)
-                persistent_->invalidate(request.key);
-            tick_persisted.erase(request.key);
-            const int strikes = ++strikes_[qkey];
-            if (registry_ != nullptr) {
-                registry_->trace("service", "invalidate", request.key,
-                                 strikes);
-            }
-            if (strikes >= options_.quarantine_strikes) {
-                quarantined_.insert(qkey);
-                plan.cache = CacheOutcome::kQuarantined;
-                continue;
-            }
-            plan.cache = CacheOutcome::kInvalidated;
-            translate_needed = true;
-        } else if (auto loaded = [&] {
-                       // Persistent consult on a warm-tier miss: one
-                       // real load per key per tick, skipped when a
-                       // same-tick job is already translating the key.
-                       std::shared_ptr<const persist::PersistedImage>
-                           blob;
-                       if (persistent_ == nullptr)
-                           return blob;
-                       if (const auto cached =
-                               tick_persisted.find(request.key);
-                           cached != tick_persisted.end()) {
-                           blob = cached->second;
-                       } else if (tick_provider.count(request.key) ==
-                                  0) {
-                           if (auto image =
-                                   persistent_->load(request.key)) {
-                               blob = std::make_shared<
-                                   const persist::PersistedImage>(
-                                   std::move(*image));
-                               tick_persisted[request.key] = blob;
-                           }
-                       }
-                       // Fleet gate: a blob is only fleet-servable
-                       // when it carries scores minted under this
-                       // exact fleet AND its translation targets the
-                       // backend the steerer picks.  Anything else is
-                       // a miss; the cold retranslation overwrites the
-                       // blob with freshly-scored v2 contents.
-                       if (blob != nullptr && fleetEnabled()) {
-                           const auto& s = blob->summary;
-                           const bool usable =
-                               s.fleet.has_value() &&
-                               s.fleet->signature ==
-                                   scorer_->signature();
-                           if (usable && !placement.has_value()) {
-                               auto scores = std::make_shared<
-                                   const persist::FleetScoreSet>(
-                                   *s.fleet);
-                               warm_.publishScores(request.key, scores);
-                               placement = steerer_->place(request.key,
-                                                           *scores);
-                               plan.placed_now = true;
-                               plan.spill_rank = placement->spill_rank;
-                               plan.score_source =
-                                   PlanInfo::ScoreSource::kPersisted;
-                           }
-                           if (!usable ||
-                               placement->backend < 0 ||
-                               placement->backend != s.fleet_backend) {
-                               blob = nullptr;
-                           }
-                       }
-                       return blob;
-                   }()) {
-            // Persisted serve: same verify-before-trust discipline as a
-            // warm serve.  The blob's FNV checksum already validated on
-            // load; the fault layer can still corrupt the image between
-            // load and dispatch, which the rotate-XOR image checksum
-            // catches.
-            bool corrupted = false;
-            if (options_.fault_seed.has_value()) {
-                plan.injector.emplace(FaultPlan::sample(
-                    makeServicePlanSeed(*options_.fault_seed,
-                                        admitted[i].sequence)));
-                if (!loaded->image_words.empty() &&
-                    plan.injector->probe(FaultSite::kCacheCorruption)) {
-                    ControlImage probe =
-                        ControlImage::fromWords(loaded->image_words);
-                    const std::uint32_t expected = probe.checksum();
-                    probe.flipBit(plan.injector->corruptionBit(
-                        probe.words().size() * 32));
-                    corrupted = probe.checksum() != expected;
-                }
             }
             if (!corrupted) {
                 plan.cache = CacheOutcome::kPersisted;
-                plan.persisted = std::move(loaded);
                 if (fleetEnabled())
-                    plan.backend = plan.persisted->summary.fleet_backend;
+                    plan.backend = blob->summary.fleet_backend;
+                plan.persisted = std::move(blob);
                 continue;
             }
-            // Corrupted persisted image: delete the blob (degrade to a
-            // fresh translation, never crash), strike, and follow the
-            // same quarantine ladder as a warm corruption.
-            persistent_->invalidate(request.key);
-            tick_persisted.erase(request.key);
-            for (const auto& cache : shard_caches_)
-                cache->erase(request.key);
-            const int strikes = ++strikes_[qkey];
-            if (registry_ != nullptr) {
-                registry_->trace("service", "invalidate", request.key,
-                                 strikes);
-            }
-            if (strikes >= options_.quarantine_strikes) {
-                quarantined_.insert(qkey);
+            if (strike(qkey)) {
                 plan.cache = CacheOutcome::kQuarantined;
                 continue;
             }
             plan.cache = CacheOutcome::kInvalidated;
-            translate_needed = true;
         } else if (const auto provider = tick_provider.find(request.key);
                    provider != tick_provider.end()) {
             plan.cache = CacheOutcome::kCoalesced;
-            plan.provider_job = provider->second;
-            plan.backend =
-                jobs[static_cast<std::size_t>(provider->second)].backend;
+            plan.job = provider->second;
+            const std::size_t owner =
+                tick.jobs[static_cast<std::size_t>(plan.job)].owner;
+            plan.backend = tick.plans[owner].backend;
             continue;
         } else {
             plan.cache = CacheOutcome::kCold;
-            if (options_.fault_seed.has_value()) {
-                plan.injector.emplace(FaultPlan::sample(
-                    makeServicePlanSeed(*options_.fault_seed,
-                                        admitted[i].sequence)));
-            }
-            translate_needed = true;
         }
 
-        VEAL_ASSERT(translate_needed);
         if (fleetEnabled()) {
             // Score-and-place before committing to a translation job.
             // Scores are a pure function of (loop, mode, fleet) at the
@@ -492,51 +501,48 @@ TranslationService::drainTick()
             // the warm tier's side table and survive invalidations.
             if (!placement.has_value()) {
                 WarmTier::ScoreRef scores = warm_.findScores(request.key);
+                auto source = PlanInfo::ScoreSource::kWarm;
                 if (scores == nullptr) {
                     scores =
                         std::make_shared<const persist::FleetScoreSet>(
                             scorer_->score(request.loop, request.mode));
                     warm_.publishScores(request.key, scores);
-                    plan.score_source = PlanInfo::ScoreSource::kComputed;
-                } else {
-                    plan.score_source = PlanInfo::ScoreSource::kWarm;
+                    source = PlanInfo::ScoreSource::kComputed;
                 }
-                placement = steerer_->place(request.key, *scores);
-                plan.placed_now = true;
-                plan.spill_rank = placement->spill_rank;
+                place(*scores, source);
             }
             plan.backend = placement->backend;
-            if (plan.backend < 0) {
-                // Every viable backend is saturated: steer this key to
-                // the CPU without burning a translation job.  The
-                // reduction accounts it as a fleet CPU fallback.
+            // Every viable backend is saturated: steer this key to the
+            // CPU without burning a translation job.  The reduction
+            // accounts it as a fleet CPU fallback.
+            if (plan.backend < 0)
                 continue;
-            }
         }
-        Job job;
-        job.admitted_index = i;
-        job.loop = &request.loop;
-        job.key = request.key;
-        job.mode = request.mode;
-        job.la = &laFor(plan.backend);
-        job.backend = plan.backend;
-        job.injector = std::move(plan.injector);
-        plan.injector.reset();
-        plan.job = static_cast<int>(jobs.size());
+        plan.job = static_cast<int>(tick.jobs.size());
         tick_provider[request.key] = plan.job;
-        jobs.push_back(std::move(job));
+        tick.jobs.emplace_back().owner = i;
     }
+    return tick;
+}
 
-    // ---- Phase 2: parallel shard phase.  Jobs round-robin over shards
-    // by index, CPU lanes by --batch block; every shard touches only its
-    // own CodeCache and BatchSimulator, writes only its own jobs' fields
-    // and its lanes' cpu_cycles and lane_profiles slots, and reads the
-    // warm tier without mutating it.  Everything computed here is a pure
-    // function of the planned inputs, and the batch engine's
-    // grouping-invariance makes the shard/batch partition of the CPU
-    // lanes semantically invisible.  LA prices are not computed here:
-    // the reduction reads them off each job's summary.
-    std::vector<CpuProfile> lane_profiles(cpu_lanes.size());
+/**
+ * Execute, in parallel: jobs round-robin over shards by index, CPU
+ * lanes by --batch block.  A shard touches only its own CodeCache and
+ * BatchSimulator, and writes only its jobs' products, their owners'
+ * fault streams, and its lanes' cpu_cycles and lane_profiles slots.
+ * Everything computed here is a pure function of the plan, and the
+ * batch engine's grouping invariance makes the shard/batch partition of
+ * the CPU lanes semantically invisible.
+ */
+void
+TranslationService::executeTick(TickPlan& tick)
+{
+    if (tick.jobs.empty() && tick.cpu_lanes.empty())
+        return;
+    const int shards = std::max(1, options_.shards);
+    const std::size_t batch =
+        static_cast<std::size_t>(std::max(1, options_.batch));
+    tick.lane_profiles.resize(tick.cpu_lanes.size());
     const auto run_shard = [&](int shard) {
         BatchSimulator& sim =
             *shard_sims_[static_cast<std::size_t>(shard)];
@@ -545,21 +551,19 @@ TranslationService::drainTick()
 
         // (a) Translate this shard's jobs.
         for (std::size_t j = static_cast<std::size_t>(shard);
-             j < jobs.size(); j += static_cast<std::size_t>(shards)) {
-            Job& job = jobs[j];
-            // Physical cache walk: shard-local miss, then the shared
-            // warm tier (read-only here; the planning pass already
-            // decided this key needs a fresh translation).
-            cache.lookup(job.key);
-            (void)warm_.find(job.key);
+             j < tick.jobs.size(); j += static_cast<std::size_t>(shards)) {
+            TickPlan::Job& job = tick.jobs[j];
+            const ServiceRequest& request = tick.admitted[job.owner].request;
+            TickPlan::PlanInfo& owner = tick.plans[job.owner];
+            cache.lookup(request.key);
             job.ladder = climbTranslationLadder(
-                *job.loop, *job.la, job.mode, nullptr,
-                job.injector.has_value() ? &*job.injector : nullptr);
+                request.loop, laFor(owner.backend), request.mode, nullptr,
+                owner.injector.has_value() ? &*owner.injector : nullptr);
             job.summary = persist::summarize(job.ladder.translation);
             if (job.ladder.translation.ok) {
-                job.image = ControlImage::encode(*job.loop,
+                job.image = ControlImage::encode(request.loop,
                                                  job.ladder.translation);
-                cache.insert(job.key);
+                cache.insert(request.key);
             }
         }
 
@@ -567,50 +571,101 @@ TranslationService::drainTick()
         // lanes, keeping each run's profile for the reduction.
         std::vector<CpuProfile> profiles;
         for (std::size_t begin = static_cast<std::size_t>(shard) * batch;
-             begin < cpu_lanes.size();
+             begin < tick.cpu_lanes.size();
              begin += static_cast<std::size_t>(shards) * batch) {
             const std::size_t end =
-                std::min(begin + batch, cpu_lanes.size());
+                std::min(begin + batch, tick.cpu_lanes.size());
             std::vector<CpuSimRequest> lanes;
             lanes.reserve(end - begin);
             for (std::size_t l = begin; l < end; ++l) {
                 const ServiceRequest& request =
-                    admitted[cpu_lanes[l]].request;
+                    tick.admitted[tick.cpu_lanes[l]].request;
                 lanes.push_back({&request.loop, request.iterations});
             }
             const auto timings =
                 sim.simulateCpuBatch(options_.cpu, lanes, &profiles);
             for (std::size_t l = begin; l < end; ++l) {
-                cpu_cycles[cpu_lanes[l]] = timings[l - begin].total_cycles;
-                lane_profiles[l] = std::move(profiles[l - begin]);
+                tick.cpu_cycles[tick.cpu_lanes[l]] =
+                    timings[l - begin].total_cycles;
+                tick.lane_profiles[l] = std::move(profiles[l - begin]);
             }
         }
     };
-    if (!jobs.empty() || !cpu_lanes.empty()) {
-        if (options_.threads > 1) {
-            if (pool_ == nullptr) {
-                pool_ =
-                    std::make_unique<ThreadPool>(options_.threads);
-            }
-            parallelFor(*pool_, shards, run_shard);
-        } else {
-            for (int shard = 0; shard < shards; ++shard)
-                run_shard(shard);
-        }
+    if (options_.threads > 1) {
+        if (pool_ == nullptr)
+            pool_ = std::make_unique<ThreadPool>(options_.threads);
+        parallelFor(*pool_, shards, run_shard);
+    } else {
+        for (int shard = 0; shard < shards; ++shard)
+            run_shard(shard);
     }
+}
 
-    // ---- Phase 3: index-ordered reduction over the full submission
-    // log (rejections included), in sequence order.  ALL accounting --
-    // registry counters, tenant digests, warm-tier publication and CPU
-    // profile memoization, LA pricing from the serving summary -- lives
-    // here, which is the whole determinism argument: nothing observable
-    // depends on how phase 2 was partitioned.
+/**
+ * Price: each admitted request's serving summary -- its own or its
+ * provider's job, its warm entry or its persisted blob -- and, when that
+ * translation is ok, its LA prices at its own iteration count on its
+ * serving backend: the first invocation only for the request that
+ * translated, the warm one for every serve.  TLB page-walk charges
+ * (opt-in) ride on top -- execution-side, so translation phase cycles
+ * still telescope.
+ */
+void
+TranslationService::priceTick(TickPlan& tick) const
+{
+    for (std::size_t i = 0; i < tick.plans.size(); ++i) {
+        TickPlan::PlanInfo& plan = tick.plans[i];
+        if (plan.job >= 0) {
+            plan.summary =
+                &tick.jobs[static_cast<std::size_t>(plan.job)].summary;
+        } else if (plan.warm_entry != nullptr) {
+            plan.summary = &plan.warm_entry->summary;
+        } else if (plan.persisted != nullptr) {
+            plan.summary = &plan.persisted->summary;
+        }
+        if (plan.summary == nullptr || !plan.summary->ok)
+            continue;
+        const persist::TranslationSummary& summary = *plan.summary;
+        const LaConfig& la = laFor(plan.backend);
+        const std::int64_t iterations = tick.admitted[i].request.iterations;
+        const auto price = [&](bool first_invocation, TlbCharge& charge) {
+            charge = streamTlbCharge(summary.load_strides,
+                                     summary.store_strides, options_.tlb,
+                                     iterations, first_invocation);
+            return persist::summaryLoopCost(summary, la, iterations,
+                                            first_invocation)
+                       .total() +
+                   charge.cycles;
+        };
+        if (tick.fresh(i))
+            plan.la_first_cycles = price(true, plan.tlb_first);
+        plan.la_warm_cycles = price(false, plan.tlb_warm);
+    }
+}
+
+/**
+ * Reduce, sequential over the full submission log (rejections included)
+ * in sequence order.  ALL accounting -- registry counters, tenant
+ * digests, warm-tier publication and CPU profile memoization -- lives
+ * here, which is the whole determinism argument: nothing observable
+ * depends on how the execute phase was partitioned.
+ */
+void
+TranslationService::reduceTick(TickPlan& tick)
+{
     last_tick_outcomes_.clear();
     std::int64_t audited_cycles = 0;
     std::int64_t charged_cycles = 0;
     std::array<std::int64_t, kNumFaultSites> fired{};
     std::array<std::int64_t, kNumFaultSites> probed{};
     std::size_t admitted_cursor = 0;
+    // Add @p delta to a report counter and to its registry twin.
+    const auto tally = [&](std::int64_t& counter, const std::string& name,
+                           std::int64_t delta = 1) {
+        counter += delta;
+        if (registry_ != nullptr)
+            registry_->add(name, delta);
+    };
 
     for (const LogEntry& log : tick_log_) {
         RequestOutcome out;
@@ -620,23 +675,22 @@ TranslationService::drainTick()
         out.admission = log.admission;
 
         TenantReport& tenant = report_.tenants[log.tenant];
+        const auto count = [&](std::int64_t RequestCounts::*counter) {
+            ++(tenant.*counter);
+            ++(report_.*counter);
+        };
         const std::string tenant_prefix =
             "service.tenant." + std::to_string(log.tenant);
-        ++tenant.submitted;
-        ++report_.submitted;
+        count(&RequestCounts::submitted);
         if (registry_ != nullptr) {
             registry_->add("service.requests.submitted");
             registry_->add(tenant_prefix + ".submitted");
         }
 
         if (log.admission != AdmissionOutcome::kAdmitted) {
-            if (log.admission == AdmissionOutcome::kQueueFull) {
-                ++tenant.rejected_queue;
-                ++report_.rejected_queue;
-            } else {
-                ++tenant.rejected_quota;
-                ++report_.rejected_quota;
-            }
+            count(log.admission == AdmissionOutcome::kQueueFull
+                      ? &RequestCounts::rejected_queue
+                      : &RequestCounts::rejected_quota);
             if (registry_ != nullptr) {
                 registry_->add(std::string("service.requests.rejected.") +
                                toString(log.admission));
@@ -647,47 +701,21 @@ TranslationService::drainTick()
             continue;
         }
 
-        VEAL_ASSERT(admitted_cursor < admitted.size() &&
-                        admitted[admitted_cursor].sequence ==
+        VEAL_ASSERT(admitted_cursor < tick.admitted.size() &&
+                        tick.admitted[admitted_cursor].sequence ==
                             log.sequence,
                     "tick log / queue order diverged");
         const std::size_t i = admitted_cursor++;
-        const PlanInfo& plan = plans[i];
+        TickPlan::PlanInfo& plan = tick.plans[i];
 
-        ++tenant.admitted;
-        ++report_.admitted;
+        count(&RequestCounts::admitted);
         if (registry_ != nullptr) {
             registry_->add("service.requests.admitted");
             registry_->add(tenant_prefix + ".admitted");
         }
 
         out.cache = plan.cache;
-        switch (plan.cache) {
-          case CacheOutcome::kCold:
-            ++tenant.cold;
-            ++report_.cold;
-            break;
-          case CacheOutcome::kWarm:
-            ++tenant.warm;
-            ++report_.warm;
-            break;
-          case CacheOutcome::kCoalesced:
-            ++tenant.coalesced;
-            ++report_.coalesced;
-            break;
-          case CacheOutcome::kInvalidated:
-            ++tenant.invalidated;
-            ++report_.invalidated;
-            break;
-          case CacheOutcome::kQuarantined:
-            ++tenant.quarantined;
-            ++report_.quarantined;
-            break;
-          case CacheOutcome::kPersisted:
-            ++tenant.persisted;
-            ++report_.persisted;
-            break;
-        }
+        count(kCacheCounters[static_cast<std::size_t>(plan.cache)]);
         if (registry_ != nullptr) {
             registry_->add(std::string("service.cache.") +
                            toString(plan.cache));
@@ -698,45 +726,36 @@ TranslationService::drainTick()
         // else in fleet mode either landed on a backend or fell back.
         if (fleetEnabled() &&
             plan.cache != CacheOutcome::kQuarantined) {
+            using ScoreSource = TickPlan::PlanInfo::ScoreSource;
             if (out.backend >= 0) {
                 const std::string& la_name = laFor(out.backend).name;
-                ++report_.fleet_placed[la_name];
-                if (registry_ != nullptr)
-                    registry_->add("fleet.placed." + la_name);
+                tally(report_.fleet_placed[la_name],
+                      "fleet.placed." + la_name);
             } else {
-                ++report_.fleet_cpu_fallbacks;
-                if (registry_ != nullptr)
-                    registry_->add("fleet.cpu_fallback");
+                tally(report_.fleet_cpu_fallbacks, "fleet.cpu_fallback");
             }
-            if (plan.placed_now && plan.spill_rank > 0) {
-                ++report_.fleet_spills;
-                if (registry_ != nullptr)
-                    registry_->add("fleet.spills");
-            }
-            if (plan.score_source ==
-                PlanInfo::ScoreSource::kComputed) {
-                ++report_.fleet_scores_computed;
-                if (registry_ != nullptr)
-                    registry_->add("fleet.scores.computed");
-            } else if (plan.score_source ==
-                       PlanInfo::ScoreSource::kPersisted) {
-                ++report_.fleet_scores_persisted;
-                if (registry_ != nullptr)
-                    registry_->add("fleet.scores.persisted");
+            if (plan.placed_now && plan.spill_rank > 0)
+                tally(report_.fleet_spills, "fleet.spills");
+            if (plan.score_source == ScoreSource::kComputed) {
+                tally(report_.fleet_scores_computed,
+                      "fleet.scores.computed");
+            } else if (plan.score_source == ScoreSource::kPersisted) {
+                tally(report_.fleet_scores_persisted,
+                      "fleet.scores.persisted");
             }
         }
 
-        out.cpu_cycles = cpu_cycles[i];
+        out.cpu_cycles = tick.cpu_cycles[i];
         report_.cpu_cycles += out.cpu_cycles;
 
-        // Resolve the serving summary and charge/publish fresh ones.
-        const persist::TranslationSummary* summary = nullptr;
-        const bool fresh = plan.job >= 0;
-        if (fresh) {
-            Job& job = jobs[static_cast<std::size_t>(plan.job)];
-            summary = &job.summary;
-            out.rung = job.ladder.rung;
-
+        // Charge and publish a fresh translation; rehydrate a persisted
+        // serve's key.
+        if (plan.job >= 0) {
+            out.rung =
+                tick.jobs[static_cast<std::size_t>(plan.job)].ladder.rung;
+        }
+        if (tick.fresh(i)) {
+            TickPlan::Job& job = tick.jobs[static_cast<std::size_t>(plan.job)];
             const auto charge = [&](const TranslationResult& attempt) {
                 const bool metered =
                     attempt.mode != TranslationMode::kStatic;
@@ -754,66 +773,55 @@ TranslationService::drainTick()
                 charge(attempt);
             charge(job.ladder.translation);
 
-            ++report_.rungs[toString(job.ladder.rung)];
-            if (registry_ != nullptr) {
-                registry_->add(std::string("service.rung.") +
-                               toString(job.ladder.rung));
-            }
-            // Persist first (the blob captures the pristine image words
-            // before the warm tier takes ownership of the image), then
+            tally(report_.rungs[toString(job.ladder.rung)],
+                  std::string("service.rung.") + toString(job.ladder.rung));
+            // Persist first (the blob copies the image words before the
+            // warm tier takes ownership of the image), then
             // publish -- success or negative either way -- at this
             // request's sequence; later ticks serve it from the warm
             // tier, later *runs* from the store.  Both take a copy of
-            // the summary: same-tick coalesced serves still price from
-            // the job's own.
+            // the summary: same-tick coalesced serves priced from the
+            // job's own.
             if (persistent_ != nullptr) {
                 persist::PersistedImage record;
-                record.key = job.key;
+                record.key = log.key;
                 record.summary = job.summary;
                 if (fleetEnabled()) {
                     // v2 blob: carry the chosen backend and the full
                     // score set so the next run rehydrates placements
                     // without re-scoring.
-                    record.summary.fleet_backend = job.backend;
-                    if (const auto scores = warm_.findScores(job.key))
+                    record.summary.fleet_backend = plan.backend;
+                    if (const auto scores = warm_.findScores(log.key))
                         record.summary.fleet = *scores;
                 }
                 if (job.image.has_value())
                     record.image_words = job.image->words();
                 persistent_->save(record);
             }
-            warm_.publishSummary(job.key, job.summary,
-                                 std::move(job.image), epoch,
-                                 log.sequence, job.backend);
-        } else if (plan.cache == CacheOutcome::kWarm) {
-            summary = &plan.warm_entry->summary;
-        } else if (plan.cache == CacheOutcome::kPersisted) {
-            summary = &plan.persisted->summary;
+            warm_.publishSummary(log.key, job.summary,
+                                 std::move(job.image), tick.epoch,
+                                 log.sequence, plan.backend);
+        } else if (plan.persisted != nullptr &&
+                   warm_.find(log.key) == nullptr) {
             // Rehydrate the warm tier once per key: the rest of the run
             // serves from memory (kWarm) instead of re-reading the blob.
-            if (warm_.find(log.key) == nullptr) {
-                std::optional<ControlImage> image;
-                if (!plan.persisted->image_words.empty()) {
-                    image = ControlImage::fromWords(
-                        plan.persisted->image_words);
-                }
-                warm_.publishSummary(log.key, *summary, std::move(image),
-                                     epoch, log.sequence, plan.backend);
-            }
-        } else if (plan.cache == CacheOutcome::kCoalesced) {
-            const auto& provider =
-                jobs[static_cast<std::size_t>(plan.provider_job)];
-            summary = &provider.summary;
-            out.rung = provider.ladder.rung;
+            std::optional<ControlImage> image;
+            if (!plan.persisted->image_words.empty())
+                image = ControlImage::fromWords(plan.persisted->image_words);
+            warm_.publishSummary(log.key, plan.persisted->summary,
+                                 std::move(image), tick.epoch,
+                                 log.sequence, plan.backend);
         }
         // Memoize this request's CPU run on the key's entry (just
         // published, rehydrated or long resident) for later requests.
         if (plan.cpu_lane >= 0) {
             warm_.offerCpuProfile(
-                log.key, std::move(lane_profiles[static_cast<std::size_t>(
-                             plan.cpu_lane)]));
+                log.key,
+                std::move(tick.lane_profiles[static_cast<std::size_t>(
+                    plan.cpu_lane)]));
         }
 
+        const persist::TranslationSummary* summary = plan.summary;
         if (summary != nullptr) {
             out.translated_ok = summary->ok;
             out.reject = summary->reject;
@@ -821,101 +829,48 @@ TranslationService::drainTick()
         if (out.translated_ok) {
             out.ii = summary->ii;
             out.stage_count = summary->stage_count;
-            ++tenant.translate_ok;
-            ++report_.translate_ok;
+            count(&RequestCounts::translate_ok);
             if (registry_ != nullptr) {
                 registry_->add("service.translate.ok");
                 registry_->observe("service.ii", out.ii);
             }
-            // LA prices at this request's own iteration count on its
-            // serving backend: the first invocation only for the
-            // request that translated, the warm one for every serve.
-            // TLB page-walk charges (opt-in) ride on top --
-            // execution-side, so translation phase cycles still
-            // telescope.
-            const LaConfig& la = laFor(plan.backend);
-            const std::int64_t iterations =
-                admitted[i].request.iterations;
-            TlbCharge first_charge;
-            if (fresh) {
-                first_charge = streamTlbCharge(
-                    summary->load_strides, summary->store_strides,
-                    options_.tlb, iterations, /*first_invocation=*/true);
-                out.la_first_cycles =
-                    persist::summaryLoopCost(*summary, la, iterations,
-                                             /*first_invocation=*/true)
-                        .total() +
-                    first_charge.cycles;
-            }
-            const TlbCharge warm_charge = streamTlbCharge(
-                summary->load_strides, summary->store_strides,
-                options_.tlb, iterations, /*first_invocation=*/false);
-            out.la_warm_cycles =
-                persist::summaryLoopCost(*summary, la, iterations,
-                                         /*first_invocation=*/false)
-                    .total() +
-                warm_charge.cycles;
+            out.la_first_cycles = plan.la_first_cycles;
+            out.la_warm_cycles = plan.la_warm_cycles;
             if (options_.tlb.enabled) {
-                const std::int64_t pages =
-                    first_charge.pages + warm_charge.pages;
-                const std::int64_t walks =
-                    first_charge.walks + warm_charge.walks;
-                const std::int64_t cycles =
-                    first_charge.cycles + warm_charge.cycles;
-                report_.tlb_pages += pages;
-                report_.tlb_walks += walks;
-                report_.tlb_cycles += cycles;
-                if (registry_ != nullptr) {
-                    registry_->add("vm.tlb.pages", pages);
-                    registry_->add("vm.tlb.walks", walks);
-                    registry_->add("vm.tlb.cycles", cycles);
-                }
+                tally(report_.tlb_pages, "vm.tlb.pages",
+                      plan.tlb_first.pages + plan.tlb_warm.pages);
+                tally(report_.tlb_walks, "vm.tlb.walks",
+                      plan.tlb_first.walks + plan.tlb_warm.walks);
+                tally(report_.tlb_cycles, "vm.tlb.cycles",
+                      plan.tlb_first.cycles + plan.tlb_warm.cycles);
             }
             report_.la_first_cycles += out.la_first_cycles;
             report_.la_warm_cycles += out.la_warm_cycles;
             out.la_wins = out.la_warm_cycles < out.cpu_cycles;
         } else if (summary != nullptr) {
             ++tenant.translate_reject;
-            ++report_.rejects[toString(out.reject)];
-            if (registry_ != nullptr) {
-                registry_->add(std::string("service.translate.reject.") +
-                               toString(out.reject));
-            }
+            tally(report_.rejects[toString(out.reject)],
+                  std::string("service.translate.reject.") +
+                      toString(out.reject));
         }
-        if (out.la_wins) {
-            ++report_.path_la;
-        } else {
-            ++report_.path_cpu;
-        }
-        if (registry_ != nullptr) {
-            registry_->add(out.la_wins ? "service.path.la"
-                                       : "service.path.cpu");
-        }
+        if (out.la_wins)
+            tally(report_.path_la, "service.path.la");
+        else
+            tally(report_.path_cpu, "service.path.cpu");
 
-        // Fault taxonomy: this request's injector lives in its job (it
-        // translated) or in its plan (warm verify only).
-        const FaultInjector* injector = nullptr;
-        if (fresh) {
-            const auto& job =
-                jobs[static_cast<std::size_t>(plan.job)];
-            injector =
-                job.injector.has_value() ? &*job.injector : nullptr;
-        } else if (plan.injector.has_value()) {
-            injector = &*plan.injector;
-        }
-        if (injector != nullptr) {
+        if (plan.injector.has_value()) {
             for (int site = 0; site < kNumFaultSites; ++site) {
                 fired[static_cast<std::size_t>(site)] +=
-                    injector->fired(static_cast<FaultSite>(site));
+                    plan.injector->fired(static_cast<FaultSite>(site));
                 probed[static_cast<std::size_t>(site)] +=
-                    injector->probes(static_cast<FaultSite>(site));
+                    plan.injector->probes(static_cast<FaultSite>(site));
             }
         }
 
         tenant.digest = foldOutcome(tenant.digest, out);
         last_tick_outcomes_.push_back(std::move(out));
     }
-    VEAL_ASSERT(admitted_cursor == admitted.size(),
+    VEAL_ASSERT(admitted_cursor == tick.admitted.size(),
                 "tick log lost admitted requests");
 
     report_.translation_cycles += charged_cycles;
@@ -923,7 +878,7 @@ TranslationService::drainTick()
         registry_->add("service.cycles.translation", charged_cycles);
         registry_->add("service.cycles.cpu_baseline", [&] {
             std::int64_t total = 0;
-            for (const auto value : cpu_cycles)
+            for (const auto value : tick.cpu_cycles)
                 total += value;
             return total;
         }());
@@ -937,19 +892,13 @@ TranslationService::drainTick()
         const auto probe_count = probed[static_cast<std::size_t>(site)];
         const auto* name = toString(static_cast<FaultSite>(site));
         if (fired_count > 0) {
-            report_.fault_fired[name] += fired_count;
-            if (registry_ != nullptr) {
-                registry_->add(std::string("service.fault.fired.") + name,
-                               fired_count);
-            }
+            tally(report_.fault_fired[name],
+                  std::string("service.fault.fired.") + name, fired_count);
         }
         if (probe_count > 0) {
-            report_.fault_probes[name] += probe_count;
-            if (registry_ != nullptr) {
-                registry_->add(std::string("service.fault.probes.") +
-                                   name,
-                               probe_count);
-            }
+            tally(report_.fault_probes[name],
+                  std::string("service.fault.probes.") + name,
+                  probe_count);
         }
     }
     report_.quarantined_pairs =

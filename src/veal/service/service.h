@@ -7,31 +7,38 @@
  *
  * N tenants submit loop-translation requests into a bounded MPMC queue
  * with admission control (reject-with-reason when the queue is full,
- * per-tenant in-flight quotas).  Worker shards drain the queue in
- * ticks: each shard owns a private LRU CodeCache and a reused
- * BatchSimulator, and consults the shared WarmTier on a shard-local
- * miss, so a loop translated by one shard is never re-translated by
- * another in the same epoch.  The PR-4 fault layer is wired through:
- * warm serves checksum their control image first, a corruption probe
- * invalidates + re-translates, and repeated strikes quarantine the
- * (tenant, key) pair to the CPU path -- tenant-scoped, so one tenant's
- * corrupted entry never pins another tenant's loop.
+ * per-tenant in-flight quotas).  Each drainTick() serves everything
+ * admitted since the last one in four phases over one TickPlan:
+ *
+ *  - plan (sequential): consult the shared WarmTier and, on a miss,
+ *    the persistent store; verify each cached image before trusting
+ *    it; fix the cache taxonomy, the translation jobs and the CPU
+ *    prices the warm tier's CpuProfiles cover.  Every warm-tier write
+ *    of the consult happens here.
+ *  - execute (parallel): each worker shard, with a private CodeCache
+ *    and BatchSimulator, translates its jobs and simulates its blocks
+ *    of the uncovered CPU lanes.
+ *  - price: each request's serving summary, its first and warm LA
+ *    prices and its TLB charge.
+ *  - reduce (sequential): all accounting, warm-tier publication and
+ *    CPU profile memoization.
+ *
+ * The fault layer is wired through: a cached serve checksums its
+ * control image first, a corruption probe invalidates + re-translates,
+ * and repeated strikes quarantine the (tenant, key) pair to the CPU
+ * path -- tenant-scoped, so one tenant's corrupted entry never pins
+ * another tenant's loop.
  *
  * Determinism contract (DESIGN.md §14): for a fixed request trace, the
  * rendered report, the metrics registry, the per-tenant digests, and
  * the cache-hit taxonomy are byte-identical at any --shards/--threads/
- * --batch.  Mechanism: every submission gets a sequence number; each
- * tick runs a sequential planning pass (sequence order) that fixes the
- * taxonomy and the translation work-list and prices the baseline CPU of
- * every request its key's warm-tier CpuProfile covers, a parallel shard
- * phase that only computes pure functions (translate + summarize +
- * simulate the uncovered CPU lanes), and a sequential index-ordered
- * reduction that does *all* accounting, LA pricing, warm-tier
- * publication and profile memoization in sequence order.  CPU lanes
- * ride the batch engine, whose grouping-invariance guarantee makes
- * shard/batch partitioning semantically invisible.  Every LA price --
- * fresh, coalesced, warm or persisted serve -- comes from the serving
- * translation's persist::TranslationSummary through
+ * --batch.  Mechanism: every submission gets a sequence number, the
+ * sequential phases decide everything observable in sequence order,
+ * and the parallel phase only computes pure functions of the plan.
+ * CPU lanes ride the batch engine, whose grouping-invariance guarantee
+ * makes shard/batch partitioning semantically invisible.  Every LA
+ * price -- fresh, coalesced, warm or persisted serve -- comes from the
+ * serving translation's persist::TranslationSummary through
  * persist::summaryLoopCost(), so all serves of a key price alike.
  */
 
@@ -169,9 +176,11 @@ const char* toString(AdmissionOutcome outcome);
 
 /**
  * How an admitted request's translation was satisfied.  The taxonomy is
- * *logical* (fixed by the sequential planning pass), so it is invariant
- * under shard count -- shard-private CodeCache hit rates are physical
- * diagnostics exposed separately via shardCacheStats().
+ * *logical* (fixed by the sequential planning phase), so it is
+ * invariant under shard count.  Planning routes every warm and
+ * persisted hit away from the shards, so the shard-private CodeCaches
+ * never serve one: their hit rates are physical diagnostics exposed
+ * separately via shardCacheStats().
  */
 enum class CacheOutcome : int {
     kCold = 0,     ///< First sight of the key: translated this tick.
@@ -248,19 +257,26 @@ struct RequestOutcome {
     int backend = -1;
 };
 
-/** Per-tenant accumulated results. */
-struct TenantReport {
+/** The request counters a tenant and the whole service both keep. */
+struct RequestCounts {
     std::int64_t submitted = 0;
     std::int64_t admitted = 0;
     std::int64_t rejected_queue = 0;
     std::int64_t rejected_quota = 0;
+
+    /** One counter per CacheOutcome. */
     std::int64_t cold = 0;
     std::int64_t warm = 0;
     std::int64_t coalesced = 0;
     std::int64_t invalidated = 0;
     std::int64_t quarantined = 0;
     std::int64_t persisted = 0;
+
     std::int64_t translate_ok = 0;
+};
+
+/** Per-tenant accumulated results. */
+struct TenantReport : RequestCounts {
     std::int64_t translate_reject = 0;
 
     /**
@@ -272,21 +288,9 @@ struct TenantReport {
 };
 
 /** Whole-service accumulated results. */
-struct ServiceReport {
+struct ServiceReport : RequestCounts {
     std::int64_t ticks = 0;
-    std::int64_t submitted = 0;
-    std::int64_t admitted = 0;
-    std::int64_t rejected_queue = 0;
-    std::int64_t rejected_quota = 0;
 
-    std::int64_t cold = 0;
-    std::int64_t warm = 0;
-    std::int64_t coalesced = 0;
-    std::int64_t invalidated = 0;
-    std::int64_t quarantined = 0;
-    std::int64_t persisted = 0;
-
-    std::int64_t translate_ok = 0;
     std::map<std::string, std::int64_t> rejects;  ///< By reject name.
     std::map<std::string, std::int64_t> rungs;    ///< By rung name.
 
@@ -358,11 +362,8 @@ class TranslationService {
     AdmissionOutcome submit(ServiceRequest request);
 
     /**
-     * Drain everything admitted since the last drain as one tick:
-     * sequential planning (taxonomy, work-list, CPU prices from warm
-     * profiles), parallel shard phase (translate + simulate uncovered
-     * CPU lanes), sequential reduction (LA pricing, profile
-     * memoization and all accounting).
+     * Drain everything admitted since the last drain as one tick: plan,
+     * execute, price and reduce (see file comment).
      */
     void drainTick();
 
@@ -436,6 +437,15 @@ class TranslationService {
         std::string key;
         AdmissionOutcome admission = AdmissionOutcome::kAdmitted;
     };
+
+    /** One tick's requests, decisions and products; drainTick()
+        passes it from phase to phase. */
+    struct TickPlan;
+
+    TickPlan planTick();
+    void executeTick(TickPlan& tick);
+    void priceTick(TickPlan& tick) const;
+    void reduceTick(TickPlan& tick);
 
     ServiceOptions options_;
     metrics::Registry* registry_ = nullptr;

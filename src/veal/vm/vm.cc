@@ -477,10 +477,15 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                 registry->add("vm.fault.dispatch.cpu", site.invocations);
             }
             if (report != nullptr) {
+                // The last failed attempt: a fissioned site's pin also
+                // sinks the siblings that translated, after it.
                 FaultPieceReport piece_report;
                 piece_report.loop = &site.loop;
-                if (!record.charged_once.empty())
-                    piece_report.translation = record.charged_once.back();
+                const auto failed = std::find_if(
+                    record.charged_once.rbegin(), record.charged_once.rend(),
+                    [](const TranslationResult& tr) { return !tr.ok; });
+                if (failed != record.charged_once.rend())
+                    piece_report.translation = *failed;
                 piece_report.rung = DegradationRung::kCpuPinned;
                 piece_report.cpu_dispatches = site.invocations;
                 report->cpu_dispatches += site.invocations;

@@ -55,13 +55,6 @@ WarmTier::serve(const std::string& key)
     return it->second;
 }
 
-std::shared_ptr<WarmTier::Entry>
-WarmTier::mutableEntry(const std::string& key)
-{
-    const auto it = entries_.find(key);
-    return it == entries_.end() ? nullptr : it->second;
-}
-
 void
 WarmTier::offerCpuProfile(const std::string& key, CpuProfile profile)
 {

@@ -3,16 +3,17 @@
 
 /**
  * @file
- * The shared warm tier behind every shard's private CodeCache.
+ * The translation service's shared warm tier.
  *
- * The translation service (veal/service) gives each worker shard its
- * own LRU CodeCache, but a loop translated by shard A must never be
- * re-translated by shard B: once any shard finishes a translation, its
- * summary (and its encoded control image + checksum) is published here,
- * and every shard consults the tier on a shard-local miss.  Negative
- * results are published too -- a key that rejected translation stays
- * rejected until invalidated, instead of burning a re-translation every
- * time a different tenant resubmits it.
+ * Once the service (veal/service) finishes a translation, its summary
+ * (and its encoded control image + checksum) is published here, and
+ * each later tick's planning phase consults the tier before it queues
+ * a translation, so no shard translates a resident key again.
+ * Planning routes every warm hit away from the shards, so a shard
+ * never consults the tier itself.  Negative results are published
+ * too -- a key that rejected translation stays rejected until
+ * invalidated, instead of burning a re-translation every time a
+ * different tenant resubmits it.
  *
  * Like the paper's code cache, which keeps only the translated loop
  * control, an entry holds no schedule or dataflow graph: just the
@@ -22,20 +23,20 @@
  * profile prices every request of it).  In-process translations and
  * entries rehydrated from the persistent store are the same kind of
  * entry; profiles are not persisted, so a rehydrated entry starts
- * without one.
+ * without one.  An entry is immutable after publish, except for its
+ * CPU profile.
  *
  * Concurrency discipline (how the service keeps byte-identical output
  * at any shard/thread count): all writes -- publish(),
  * offerCpuProfile() and invalidate() -- happen in the service's
- * *sequential* phases, ordered by request sequence number; the
- * parallel shard phase only reads via find().  The tier therefore
- * needs no locking, and the epoch/sequence tags on every entry make
- * "who translated this, when" auditable in tests.
+ * *sequential* phases, ordered by request sequence number.  The tier
+ * therefore needs no locking, and the epoch/sequence tags on every
+ * entry make "who translated this, when" auditable in tests.
  *
  * Entries are handed out as shared_ptr: a request served early in a
- * tick keeps its entry alive for reduction-time pricing even if a later
- * request in the same tick invalidates the key (fault-layer checksum
- * mismatch).  Invalidation drops the key, not the outstanding readers.
+ * tick keeps its entry alive for pricing even if a later request in the
+ * same tick invalidates the key (fault-layer checksum mismatch).
+ * Invalidation drops the key, not the outstanding readers.
  */
 
 #include <cstdint>
@@ -60,8 +61,8 @@ class WarmTier {
             entry. */
         persist::TranslationSummary summary;
 
-        /** Encoded image (successful entries only).  The fault layer
-            flips bits here in place; `summary` stays pristine. */
+        /** Encoded image (successful entries only).  Serves verify a
+            copy of it; the image itself never changes. */
         std::optional<ControlImage> image;
 
         /** image->checksum() at publish time, validated on serves. */
@@ -122,12 +123,6 @@ class WarmTier {
      * only (mutates statistics).
      */
     EntryRef serve(const std::string& key);
-
-    /**
-     * Mutable entry for @p key (the fault layer flips image bits in
-     * place, as the hardened VM does).  Sequential phases only.
-     */
-    std::shared_ptr<Entry> mutableEntry(const std::string& key);
 
     /**
      * Give @p key's entry @p profile when it covers more than the one

@@ -1,5 +1,7 @@
 #include "veal/vm/vm.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "veal/arch/cpu_config.h"
@@ -7,6 +9,7 @@
 #include "veal/fault/fault_plan.h"
 #include "veal/support/metrics/metrics.h"
 #include "veal/workloads/kernels.h"
+#include "veal/workloads/suite.h"
 
 namespace veal {
 namespace {
@@ -79,6 +82,43 @@ TEST(DegradationLadder, EscalatesInExactRungOrder)
             EXPECT_EQ(report.la_dispatches, 4);
         }
     }
+}
+
+/**
+ * A pinned site reports a failed translation, never a sibling's.  When
+ * a later piece of a fissioned site exhausts the ladder, the pin also
+ * sinks the earlier pieces that did translate -- after the failing
+ * attempt -- so the report must pick the last failure, not the last
+ * sunk translation.  Sticky placement faults from probe 0 to 5 pin the
+ * media suite's sites at every piece position.
+ */
+TEST(DegradationLadder, PinnedSitesReportAFailedTranslation)
+{
+    int pinned = 0;
+    for (const Benchmark& benchmark : mediaFpSuite()) {
+        Application app = benchmark.transformed;
+        for (auto& site : app.sites)
+            site.invocations = std::min<std::int64_t>(site.invocations, 32);
+        for (std::int64_t first = 0; first <= 5; ++first) {
+            FaultPlan plan;
+            plan.faults.push_back(
+                ArmedFault{FaultSite::kSchedulerPlacement, first, -1});
+            const FaultRunReport report = runHardened(app, plan);
+            for (const FaultSiteReport& site : report.sites) {
+                for (const FaultPieceReport& piece : site.pieces) {
+                    if (piece.rung != DegradationRung::kCpuPinned)
+                        continue;
+                    ++pinned;
+                    EXPECT_FALSE(piece.translation.ok)
+                        << app.name << " site " << site.loop_name
+                        << " (fault from probe " << first
+                        << ") reports an ok translation at II "
+                        << piece.translation.schedule.ii;
+                }
+            }
+        }
+    }
+    EXPECT_GT(pinned, 0);
 }
 
 TEST(DegradationLadder, NoArmedFaultStaysNominal)
