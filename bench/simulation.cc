@@ -120,7 +120,7 @@ makeCaseSet()
 bool
 hasLaLanes(const TranslationResult& translation)
 {
-    return translation.ok && translation.graph.has_value();
+    return translation.ok && translation.graph != nullptr;
 }
 
 /** One pass through the frozen scalar oracle, one case at a time. */

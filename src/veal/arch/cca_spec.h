@@ -68,6 +68,9 @@ struct CcaSpec {
 
     /** The paper's CCA design point. */
     static CcaSpec classic() { return CcaSpec{}; }
+
+    /** Equal when every field is. */
+    bool operator==(const CcaSpec&) const = default;
 };
 
 }  // namespace veal

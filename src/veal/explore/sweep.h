@@ -17,15 +17,21 @@
  *
  * Thread-confinement contract (audited in DESIGN.md "Threading"):
  * each cell constructs its own VirtualMachine / CostMeter; nothing
- * mutable is shared between cells.  Benchmarks are shared read-only,
- * including each transformed app's CPU baseline table.
+ * mutable is shared between cells except each loop site's front-end
+ * slot, filled once under std::call_once.  Benchmarks are shared
+ * read-only, including each transformed app's CPU baseline table.
  *
  * The suite builder prices every CPU lane of an application once, on
  * the arm11 baseline (Application::cpu_baseline), and each cell's
  * VirtualMachine::run() reads those prices instead of re-simulating the
  * same baseline at every design point.  A cell simulates the CPU only
- * when its VM's CPU differs from the table's.  LA prices are the
- * closed-form acceleratorLoopCost() per piece (sim/la_timing.h).
+ * when its VM's CPU differs from the table's.  Likewise, the first cell
+ * to run a site fills its FrontEndSlot (vm/vm.h) with the translation
+ * front end -- analysis, CCA mapping, graph and RecMII, which no
+ * design point changes -- and every later cell on an LA with the same
+ * CCA spec and latency model translates on it instead of rebuilding
+ * it.  LA prices are the closed-form acceleratorLoopCost() per piece
+ * (sim/la_timing.h).
  */
 
 #include <cstdint>

@@ -189,7 +189,7 @@ runOracleBatch(const std::vector<OracleCase>& cases,
         try {
             if (options.perturb)
                 options.perturb(translation);
-            if (translation.graph.has_value()) {
+            if (translation.graph != nullptr) {
                 const auto violation =
                     validateSchedule(*translation.graph, config,
                                      translation.schedule, loop,

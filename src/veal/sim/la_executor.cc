@@ -57,7 +57,7 @@ executeOnAccelerator(const Loop& loop, const TranslationResult& translation,
 {
     VEAL_ASSERT(translation.ok, "executing a rejected translation of ",
                 loop.name());
-    VEAL_ASSERT(translation.graph.has_value());
+    VEAL_ASSERT(translation.graph != nullptr);
     const SchedGraph& graph = *translation.graph;
     const Schedule& schedule = translation.schedule;
     const LoopAnalysis& analysis = translation.analysis;

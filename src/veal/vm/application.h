@@ -8,6 +8,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,6 +17,8 @@
 #include "veal/ir/loop.h"
 
 namespace veal {
+
+class FrontEndSlot;  // vm/vm.h
 
 /** One static loop in an application binary. */
 struct LoopSite {
@@ -34,6 +37,19 @@ struct LoopSite {
 
     /** Trip count per invocation. */
     std::int64_t iterations = 100;
+
+    /**
+     * The translation front ends of this site's pieces (FrontEndSlot in
+     * vm/vm.h): empty from the suite builder, filled once by the first
+     * fault-free VirtualMachine::run on an LA with the slot's tag, then
+     * shared read-only by every such run and by copies of the site.
+     * Null builds every translation afresh.
+     *
+     * Contract: code that edits a site's loop or fissioned pieces must
+     * reset this.  A slot whose piece count differs from its site's is
+     * ignored, but a same-shaped edit would go unseen.
+     */
+    std::shared_ptr<const FrontEndSlot> front_ends = nullptr;
 };
 
 /**

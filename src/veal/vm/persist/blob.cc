@@ -169,7 +169,7 @@ summarize(const TranslationResult& translation)
     summary.ii = translation.schedule.ii;
     summary.stage_count = translation.schedule.stage_count;
     summary.length = translation.schedule.length;
-    VEAL_ASSERT(translation.graph.has_value(),
+    VEAL_ASSERT(translation.graph != nullptr,
                 "ok translation without a graph");
     summary.fu_units = translation.graph->numFuUnits();
     for (const int reg : translation.registers.reg_of_source_op)

@@ -124,22 +124,44 @@ orderFromStaticRanks(const SchedGraph& graph,
     return order;
 }
 
-/**
- * @p annotations, or -- for a hybrid-mode caller that passed none --
- * the static compiler's own, derived into @p storage.  Deriving them is
- * unmetered: it models work done offline, before the binary ships.
- */
-const StaticAnnotations*
-hybridAnnotations(const Loop& loop, const LaConfig& config,
-                  TranslationMode mode,
-                  const StaticAnnotations* annotations,
-                  StaticAnnotations& storage)
+/** @p config's CCA spec when @p cca, else none. */
+std::optional<CcaSpec>
+ccaSpecFor(const LaConfig& config, bool cca)
 {
-    if (mode != TranslationMode::kHybridStaticCcaPriority ||
-        annotations != nullptr)
+    return cca ? config.cca : std::nullopt;
+}
+
+/**
+ * Figure 9's annotations derived from @p front, a front end of @p loop
+ * built for @p config's CCA setting: its CCA subgraphs, and swing ranks
+ * at the MII of @p config (ResMII depends on the design point, so the
+ * ranks cannot live in the front end).  Unmetered.
+ */
+StaticAnnotations
+deriveAnnotations(const Loop& loop, const LaConfig& config,
+                  const TranslationFrontEnd& front)
+{
+    StaticAnnotations annotations;
+    if (!front.analysis->ok())
         return annotations;
-    storage = precompileAnnotations(loop, config);
-    return &storage;
+    const SchedGraph& graph = *front.graph;
+    const int res = resMii(graph, config);
+    const int ii = res >= LaConfig::kUnlimited
+                       ? front.rec_mii
+                       : std::max(res, front.rec_mii);
+    const NodeOrder order = computeSwingOrder(graph, ii);
+
+    std::vector<int> op_priority(static_cast<std::size_t>(loop.size()), -1);
+    for (const auto& unit : graph.units()) {
+        const int encoded =
+            order.rank[static_cast<std::size_t>(unit.id)] * 2 +
+            (order.place_late[static_cast<std::size_t>(unit.id)] ? 1 : 0);
+        for (const OpId op : unit.ops)
+            op_priority[static_cast<std::size_t>(op)] = encoded;
+    }
+    annotations.cca_mapping = front.mapping;
+    annotations.op_priority = std::move(op_priority);
+    return annotations;
 }
 
 }  // namespace
@@ -153,13 +175,74 @@ translateLoop(const Loop& loop, const LaConfig& config,
     return translateLoop(loop, config, mode, options);
 }
 
+TranslationFrontEnd
+buildTranslationFrontEnd(const Loop& loop, const std::optional<CcaSpec>& cca,
+                         const LatencyModel& latencies,
+                         const TranslationFrontEnd* sibling)
+{
+    TranslationFrontEnd front;
+    front.cca = cca.has_value();
+    CostMeter meter;
+    if (sibling != nullptr) {
+        front.analysis = sibling->analysis;
+        front.analysis_units = sibling->analysis_units;
+    } else {
+        front.analysis =
+            std::make_shared<const LoopAnalysis>(analyzeLoop(loop, &meter));
+        front.analysis_units = meter.units(TranslationPhase::kLoopAnalysis);
+    }
+    if (!front.analysis->ok())
+        return front;
+
+    front.mapping = cca.has_value()
+                        ? mapToCca(loop, *front.analysis, *cca, latencies,
+                                   &meter)
+                        : emptyCcaMapping(loop);
+    front.mapping_units = meter.units(TranslationPhase::kCcaMapping);
+
+    // The graph reads only the CCA spec and the latency model.
+    LaConfig target;
+    target.num_cca_units = cca.has_value() ? 1 : 0;
+    target.cca = cca;
+    target.latencies = latencies;
+    front.graph = std::make_shared<const SchedGraph>(loop, *front.analysis,
+                                                     front.mapping, target);
+    front.rec_mii = recMii(*front.graph, &meter);
+    front.rec_mii_units = meter.units(TranslationPhase::kMiiComputation);
+    return front;
+}
+
 TranslationResult
 translateLoop(const Loop& loop, const LaConfig& config,
               TranslationMode mode, const TranslationOptions& options)
 {
+    const bool cca = config.hasCca() && !options.disable_cca;
+    const bool hybrid = mode == TranslationMode::kHybridStaticCcaPriority;
+    const TranslationFrontEnd* front = options.front_end;
+    VEAL_ASSERT(front == nullptr || front->cca == cca,
+                "front end built for the other CCA setting: ", loop.name());
+
+    // A hybrid caller that passed no annotations gets the static
+    // compiler's, derived from the front end this translation schedules
+    // on -- one the translator builds itself when none is attached and
+    // no injector is armed.  The binary's annotations are built for
+    // config.hasCca(), so the no-CCA rung of a CCA machine derives them
+    // from a front end of its own.
+    std::optional<TranslationFrontEnd> own;
     StaticAnnotations derived;
-    const StaticAnnotations* annotations = hybridAnnotations(
-        loop, config, mode, options.annotations, derived);
+    const StaticAnnotations* annotations = options.annotations;
+    if (hybrid && annotations == nullptr) {
+        const bool binary_setting = cca == config.hasCca();
+        if (front == nullptr && binary_setting && options.faults == nullptr) {
+            own = buildTranslationFrontEnd(loop, ccaSpecFor(config, cca),
+                                           config.latencies);
+            front = &*own;
+        }
+        derived = front != nullptr && binary_setting
+                      ? deriveAnnotations(loop, config, *front)
+                      : precompileAnnotations(loop, config);
+        annotations = &derived;
+    }
     TranslationResult result;
     result.mode = mode;
     CostMeter& meter = result.meter;
@@ -186,8 +269,17 @@ translateLoop(const Loop& loop, const LaConfig& config,
                " metered instructions";
     };
 
+    // A front end's phases are replayed where they would have run: each
+    // charges the units it recorded, so the meter (and every budget
+    // check) reads exactly what a fresh translation's would.
+
     // --- Loop analysis (always dynamic: loop detection is cheap).
-    result.analysis = analyzeLoop(loop, &meter);
+    if (front != nullptr) {
+        result.analysis = *front->analysis;
+        meter.charge(TranslationPhase::kLoopAnalysis, front->analysis_units);
+    } else {
+        result.analysis = analyzeLoop(loop, &meter);
+    }
     if (!result.analysis.ok()) {
         return reject(TranslationReject::kAnalysis,
                       std::string(toString(result.analysis.reject)) + ": " +
@@ -212,8 +304,7 @@ translateLoop(const Loop& loop, const LaConfig& config,
     }
 
     // --- CCA mapping: static (Figure 9(b)) or dynamic greedy.
-    const bool hybrid = mode == TranslationMode::kHybridStaticCcaPriority;
-    if (!config.hasCca() || options.disable_cca) {
+    if (!cca) {
         // With no CCA (or the no-CCA degradation rung), statically
         // abstracted subgraphs simply execute as individual ops (the
         // encoding is plain branch-and-link code).
@@ -223,6 +314,9 @@ translateLoop(const Loop& loop, const LaConfig& config,
         // Decode cost: recognise the Brl-CCA calls in one pass.
         meter.charge(TranslationPhase::kCcaMapping,
                      static_cast<std::uint64_t>(loop.size()));
+    } else if (front != nullptr) {
+        result.mapping = front->mapping;
+        meter.charge(TranslationPhase::kCcaMapping, front->mapping_units);
     } else {
         result.mapping = mapToCca(loop, result.analysis, *config.cca,
                                   config.latencies, &meter,
@@ -237,14 +331,23 @@ translateLoop(const Loop& loop, const LaConfig& config,
                       budget_detail());
 
     // --- Build the scheduling problem and compute MII.
-    result.graph.emplace(loop, result.analysis, result.mapping, config);
+    result.graph = front != nullptr
+                       ? front->graph
+                       : std::make_shared<const SchedGraph>(
+                             loop, result.analysis, result.mapping, config);
     const SchedGraph& graph = *result.graph;
 
     const int res_mii = resMii(graph, config, &meter);
     if (res_mii >= LaConfig::kUnlimited) {
         return reject(TranslationReject::kNoFuForOpcode, loop.name());
     }
-    const int rec_mii = recMii(graph, &meter);
+    int rec_mii = 0;
+    if (front != nullptr) {
+        rec_mii = front->rec_mii;
+        meter.charge(TranslationPhase::kMiiComputation, front->rec_mii_units);
+    } else {
+        rec_mii = recMii(graph, &meter);
+    }
     result.mii = std::max(res_mii, rec_mii);
     if (over_budget())
         return reject(TranslationReject::kBudgetExhausted,
@@ -364,13 +467,28 @@ climbTranslationLadder(const Loop& loop, const LaConfig& config,
         {DegradationRung::kNoCca, 2, true, 2},
     };
 
+    // With no injector, one front end (for the machine's CCA setting)
+    // serves every rung of that setting.  An armed injector probes
+    // inside the CCA mapper, so its rungs build afresh.
+    std::optional<TranslationFrontEnd> front;
+    if (faults == nullptr) {
+        front = buildTranslationFrontEnd(
+            loop, ccaSpecFor(config, config.hasCca()), config.latencies);
+    }
     StaticAnnotations derived;
-    annotations =
-        hybridAnnotations(loop, config, mode, annotations, derived);
+    if (mode == TranslationMode::kHybridStaticCcaPriority &&
+        annotations == nullptr) {
+        derived = front.has_value() ? deriveAnnotations(loop, config, *front)
+                                    : precompileAnnotations(loop, config);
+        annotations = &derived;
+    }
     LadderOutcome outcome;
     for (const auto& rung : kRungs) {
         TranslationOptions options;
         options.annotations = annotations;
+        if (front.has_value() &&
+            front->cca == (config.hasCca() && !rung.disable_cca))
+            options.front_end = &*front;
         options.faults = faults;
         options.ii_slack = rung.ii_slack;
         options.disable_cca = rung.disable_cca;
@@ -402,33 +520,10 @@ climbTranslationLadder(const Loop& loop, const LaConfig& config,
 StaticAnnotations
 precompileAnnotations(const Loop& loop, const LaConfig& config)
 {
-    StaticAnnotations annotations;
-    const LoopAnalysis analysis = analyzeLoop(loop);
-    if (!analysis.ok())
-        return annotations;
-
-    CcaMapping mapping = config.hasCca()
-                             ? mapToCca(loop, analysis, *config.cca,
-                                        config.latencies)
-                             : emptyCcaMapping(loop);
-
-    const SchedGraph graph(loop, analysis, mapping, config);
-    const int res = resMii(graph, config);
-    const int rec = recMii(graph);
-    const int ii = res >= LaConfig::kUnlimited ? rec : std::max(res, rec);
-    const NodeOrder order = computeSwingOrder(graph, ii);
-
-    std::vector<int> op_priority(static_cast<std::size_t>(loop.size()), -1);
-    for (const auto& unit : graph.units()) {
-        const int encoded =
-            order.rank[static_cast<std::size_t>(unit.id)] * 2 +
-            (order.place_late[static_cast<std::size_t>(unit.id)] ? 1 : 0);
-        for (const OpId op : unit.ops)
-            op_priority[static_cast<std::size_t>(op)] = encoded;
-    }
-    annotations.cca_mapping = std::move(mapping);
-    annotations.op_priority = std::move(op_priority);
-    return annotations;
+    return deriveAnnotations(
+        loop, config,
+        buildTranslationFrontEnd(loop, ccaSpecFor(config, config.hasCca()),
+                                 config.latencies));
 }
 
 }  // namespace veal

@@ -17,6 +17,8 @@
  *    register assignment stay dynamic.
  */
 
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -89,7 +91,12 @@ struct TranslationResult {
 
     LoopAnalysis analysis;
     CcaMapping mapping;
-    std::optional<SchedGraph> graph;
+    /**
+     * The scheduling problem; null when translation stopped before
+     * building it.  Immutable, so a translation on an attached front end
+     * points at the front end's graph instead of copying it.
+     */
+    std::shared_ptr<const SchedGraph> graph;
     Schedule schedule;
     RegisterAssignment registers;
     int mii = 0;
@@ -116,12 +123,76 @@ struct TranslationResult {
 };
 
 /**
+ * The design-invariant half of one loop's translation: the phases that
+ * depend only on the loop, the CCA spec and the latency model, never on
+ * FU counts, registers, streams, max II or mode (paper §4.3 moves the
+ * same work offline).  Built by buildTranslationFrontEnd() and immutable
+ * after; translateLoop() replays it phase by phase instead of
+ * rebuilding it (TranslationOptions::front_end).
+ */
+struct TranslationFrontEnd {
+    /** Built with CCA subgraphs, or without. */
+    bool cca = false;
+
+    /**
+     * analyzeLoop() of the loop.  Shared between the CCA-on and CCA-off
+     * front ends of one loop, which differ only below.
+     */
+    std::shared_ptr<const LoopAnalysis> analysis;
+
+    /**
+     * mapToCca() with CCA on, emptyCcaMapping() without; empty when the
+     * analysis failed.
+     */
+    CcaMapping mapping;
+
+    /** The SchedGraph over `mapping`; null when the analysis failed. */
+    std::shared_ptr<const SchedGraph> graph;
+
+    /** recMii() of `graph` (0 when the analysis failed). */
+    int rec_mii = 0;
+
+    /**
+     * CostMeter units each phase charged while building: kLoopAnalysis
+     * (analysis), kCcaMapping (mapping, CCA on only) and
+     * kMiiComputation (RecMII).  translateLoop() charges each at the
+     * point its phase would have run, so a translation on a front end
+     * meters -- and meets its budget checks -- exactly as a fresh one.
+     */
+    std::uint64_t analysis_units = 0;
+    std::uint64_t mapping_units = 0;
+    std::uint64_t rec_mii_units = 0;
+};
+
+/**
+ * Build @p loop's front end for @p latencies, with CCA subgraphs for
+ * @p cca when it holds a spec and without when it is empty.  With
+ * @p sibling, a front end of the same loop, its analysis (and analysis
+ * units) are shared instead of rebuilt.  Unmetered and unfaulted: the
+ * units it records are charged by the translations that use it.
+ */
+TranslationFrontEnd buildTranslationFrontEnd(
+    const Loop& loop, const std::optional<CcaSpec>& cca,
+    const LatencyModel& latencies,
+    const TranslationFrontEnd* sibling = nullptr);
+
+/**
  * Per-call knobs for translateLoop(): fault injection plus the
  * degradation-ladder relaxations the hardened VM retries with.
  */
 struct TranslationOptions {
     /** Static annotations (see the 4-arg translateLoop overload). */
     const StaticAnnotations* annotations = nullptr;
+
+    /**
+     * The loop's front end, built for this config's CCA spec and latency
+     * model with CCA on exactly when config.hasCca() && !disable_cca.
+     * nullptr builds the front-end phases afresh.  Caller annotations
+     * passed with it must carry its CCA mapping (as annotations derived
+     * by precompileAnnotations() on the same config do).  Results are
+     * bit-identical either way; the translation shares its graph.
+     */
+    const TranslationFrontEnd* front_end = nullptr;
 
     /**
      * Fault injector threaded through the pipeline (scheduler, register
@@ -154,16 +225,19 @@ struct TranslationOptions {
  * Run the translation pipeline for @p loop targeting @p config.
  *
  * Thread-safety: a pure function of its arguments -- every product
- * (graph, schedule, registers, CostMeter) lives inside the returned
- * TranslationResult, and nothing global is written.  Concurrent sweep
+ * (schedule, registers, CostMeter) lives inside the returned
+ * TranslationResult, its graph is immutable (the attached front end's,
+ * when one is), and nothing global is written.  Concurrent sweep
  * threads therefore never share a mutable translation.  (A
  * FaultInjector passed via TranslationOptions is mutable run state
  * owned by the caller and must stay thread-confined.)
  *
  * @param annotations read by kHybridStaticCcaPriority only.  When a
- *        hybrid caller passes none, the translator derives them with
- *        precompileAnnotations(@p loop, @p config), unmetered (the
- *        static compiler's work happened offline).
+ *        hybrid caller passes none, the translator derives them, as
+ *        precompileAnnotations(@p loop, @p config) would, from the
+ *        front end it then schedules on: the attached one or, with no
+ *        fault injector, one it builds itself.  Deriving is unmetered
+ *        (the static compiler's work happened offline).
  */
 TranslationResult translateLoop(const Loop& loop, const LaConfig& config,
                                 TranslationMode mode,
@@ -222,9 +296,12 @@ struct LadderOutcome {
  * succeeds.  Returns rung kCpuPinned (translation not ok) when every
  * rung fails; the caller decides whether a no-fission retry applies.
  * With @p faults == nullptr the nominal rung is bit-identical to
- * translateLoop() and later rungs only engage on genuine failures.
- * Hybrid annotations the caller did not pass are derived once per
- * climb, as translateLoop() would.
+ * translateLoop() and later rungs only engage on genuine failures; the
+ * climb then builds one front end, which every rung with the same CCA
+ * setting shares.  With @p faults every rung builds afresh, so the
+ * injector's probe sequence is that of plain translations.  Hybrid
+ * annotations the caller did not pass are derived once per climb, as
+ * translateLoop() would.
  */
 LadderOutcome climbTranslationLadder(const Loop& loop,
                                      const LaConfig& config,
@@ -234,8 +311,9 @@ LadderOutcome climbTranslationLadder(const Loop& loop,
 
 /**
  * The static compiler stage that produces Figure 9's annotations for a
- * binary: CCA subgraphs and swing scheduling ranks.  Returns empty
- * annotations for loops that fail analysis.
+ * binary: CCA subgraphs and swing scheduling ranks, derived from a
+ * front end built for @p config (CCA on when config.hasCca()).  Returns
+ * empty annotations for loops that fail analysis.
  */
 StaticAnnotations precompileAnnotations(const Loop& loop,
                                         const LaConfig& config);

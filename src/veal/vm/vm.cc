@@ -12,6 +12,39 @@
 
 namespace veal {
 
+FrontEndSlot::FrontEndSlot(std::optional<CcaSpec> cca,
+                           LatencyModel latencies)
+    : cca_(std::move(cca)), latencies_(std::move(latencies))
+{}
+
+const TranslationFrontEnd*
+FrontEndSlot::find(const LoopSite& site, std::size_t piece,
+                   const LaConfig& la) const
+{
+    if (la.cca != cca_ || !(la.latencies == latencies_))
+        return nullptr;
+    const bool fissioned = !site.fissioned.empty();
+    const std::size_t count = fissioned ? site.fissioned.size() : 1;
+    std::call_once(once_, [&] {
+        pieces_.resize(count);
+        for (std::size_t i = 0; i < count; ++i) {
+            const Loop& loop = fissioned ? site.fissioned[i] : site.loop;
+            Piece& built = pieces_[i];
+            built.off = buildTranslationFrontEnd(loop, std::nullopt,
+                                                 latencies_);
+            if (cca_.has_value()) {
+                built.on = buildTranslationFrontEnd(loop, cca_, latencies_,
+                                                    &built.off);
+            }
+        }
+        filled_.store(true, std::memory_order_release);
+    });
+    if (pieces_.size() != count || piece >= count)
+        return nullptr;
+    const Piece& found = pieces_[piece];
+    return la.hasCca() ? &*found.on : &found.off;
+}
+
 VirtualMachine::VirtualMachine(LaConfig la, CpuConfig baseline,
                                VmOptions options)
     : la_(std::move(la)), cpu_(std::move(baseline)),
@@ -38,7 +71,7 @@ LaPiecePrice
 priceOnLa(const TranslationResult& translation, const LaConfig& la,
           const TlbConfig& tlb, std::int64_t iterations)
 {
-    VEAL_ASSERT(translation.ok && translation.graph.has_value());
+    VEAL_ASSERT(translation.ok && translation.graph != nullptr);
     const auto invocation = [&](bool first) {
         return acceleratorLoopCost(translation.schedule, *translation.graph,
                                    translation.analysis,
@@ -120,7 +153,8 @@ struct SiteRecord {
 /**
  * Translate phase for one site, whose pieces are its fissioned pieces
  * or else the loop itself, CPU-priced from @p prices.  With no
- * injector, each piece gets one translateLoop() and a failed piece runs
+ * injector, each piece gets one translateLoop() -- on the site's
+ * front-end slot when @p la matches its tag -- and a failed piece runs
  * on the CPU.  With one, each piece climbs the loop-level ladder; a
  * piece that exhausts its rungs escalates the whole site: one
  * no-fission retry of the unfissioned loop (every relaxation on, extra
@@ -147,8 +181,11 @@ translateSite(const LoopSite& site, const CpuBaseline::Site& prices,
             .cpu_cycles_per_invocation =
                 fissioned ? prices.pieces[i] : prices.loop};
         if (faults == nullptr) {
+            TranslationOptions nominal;
+            if (site.front_ends != nullptr)
+                nominal.front_end = site.front_ends->find(site, i, la);
             piece.translation =
-                translateLoop(*piece.loop, la, options.mode);
+                translateLoop(*piece.loop, la, options.mode, nominal);
             if (!piece.translation.ok &&
                 record.reject == TranslationReject::kNone)
                 record.reject = piece.translation.reject;

@@ -11,7 +11,10 @@
  * whenever translation is impossible or unprofitable.
  */
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,54 @@ namespace veal {
 namespace metrics {
 class Registry;
 }  // namespace metrics
+
+/**
+ * One loop site's translation front ends (TranslationFrontEnd), per
+ * piece, for CCA on and off: the work no design point changes, built
+ * once and shared by every fault-free run on an LA with the slot's tag.
+ *
+ * Filled on first use, not at construction: a suite builder that built
+ * every front end would make every mediaFpSuite() caller pay for it
+ * (DESIGN.md §8).  The fill is a pure function of the site's pieces and
+ * the tag, under std::call_once, so whichever thread fills it, the
+ * bytes are the same, and after it the slot is read-only.  Each piece
+ * keeps one LoopAnalysis for both CCA settings, and translations share
+ * the graphs rather than copy them.  Nothing is built for the
+ * unfissioned loop of a fissioned site, which only fault runs
+ * translate.
+ */
+class FrontEndSlot {
+  public:
+    /** An empty slot for front ends built with @p cca and @p latencies
+        (no CCA-on front ends when @p cca is empty). */
+    FrontEndSlot(std::optional<CcaSpec> cca, LatencyModel latencies);
+
+    /**
+     * The front end of @p site's piece @p piece (its fissioned pieces in
+     * order, or else its loop) for @p la's CCA setting, filling every
+     * piece of the slot on the first call.  nullptr -- build afresh --
+     * when @p la's CCA spec or latency model differs from the tag
+     * (without filling), or when @p site's piece count differs from the
+     * one the slot was filled for.  Safe to call concurrently.
+     */
+    const TranslationFrontEnd* find(const LoopSite& site, std::size_t piece,
+                                    const LaConfig& la) const;
+
+    /** True once the slot has been filled. */
+    bool filled() const { return filled_.load(std::memory_order_acquire); }
+
+  private:
+    struct Piece {
+        TranslationFrontEnd off;
+        std::optional<TranslationFrontEnd> on;
+    };
+
+    std::optional<CcaSpec> cca_;
+    LatencyModel latencies_;
+    mutable std::once_flag once_;
+    mutable std::atomic<bool> filled_{false};
+    mutable std::vector<Piece> pieces_;
+};
 
 /** Runtime policy knobs for the VM. */
 struct VmOptions {
@@ -171,7 +222,9 @@ struct AppRunResult {
  * CPU prices: run() reads the application's Application::cpu_baseline
  * when it was priced on this VM's CPU and prices the lanes itself
  * otherwise (cpuBaselineOn()); the table is only read, never filled, so
- * cells sharing one application share it without a lock.
+ * cells sharing one application share it without a lock.  The one
+ * thing a run may fill is a site's FrontEndSlot, once, under
+ * std::call_once.
  */
 class VirtualMachine {
   public:
@@ -182,7 +235,8 @@ class VirtualMachine {
      * phases over one site/piece record:
      *
      *  1. Translate.  With no injector, each piece (each fissioned
-     *     piece, or else the site loop) gets one translateLoop(); a
+     *     piece, or else the site loop) gets one translateLoop(), on
+     *     the site's FrontEndSlot when this LA matches its tag; a
      *     failed piece runs on the CPU and the first reject is the site
      *     verdict.  With @p faults, each piece climbs the degradation
      *     ladder (relaxed II -> no CCA), then the site gets one

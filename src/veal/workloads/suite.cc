@@ -1,6 +1,7 @@
 #include "veal/workloads/suite.h"
 
 #include <cmath>
+#include <memory>
 
 #include "veal/arch/cpu_config.h"
 #include "veal/arch/la_config.h"
@@ -35,7 +36,9 @@ class BenchmarkBuilder {
      * -- this *is* the static compiler's fission pass, and the target is
      * the LA the static compiler was told about (a builder parameter,
      * NOT a global: a fleet scores the same loop against several shapes,
-     * so two builds with different targets must not share state).
+     * so two builds with different targets must not share state).  Both
+     * sites get an empty front-end slot tagged with the target's CCA
+     * spec and latency model; the first run that needs it fills it.
      */
     void
     addSite(Loop transformed, Loop untransformed, std::int64_t invocations,
@@ -44,7 +47,8 @@ class BenchmarkBuilder {
         LoopSite t{.loop = std::move(transformed),
                    .fissioned = {},
                    .invocations = invocations,
-                   .iterations = iterations};
+                   .iterations = iterations,
+                   .front_ends = emptySlot()};
         const LaConfig& target = fission_target_;
         FissionBudget budget;
         budget.max_load_streams = target.num_load_streams;
@@ -60,7 +64,8 @@ class BenchmarkBuilder {
         LoopSite u{.loop = std::move(untransformed),
                    .fissioned = {},
                    .invocations = invocations,
-                   .iterations = iterations};
+                   .iterations = iterations,
+                   .front_ends = emptySlot()};
         benchmark_.untransformed.sites.push_back(std::move(u));
     }
 
@@ -157,6 +162,13 @@ class BenchmarkBuilder {
     }
 
   private:
+    std::shared_ptr<const FrontEndSlot>
+    emptySlot() const
+    {
+        return std::make_shared<const FrontEndSlot>(
+            fission_target_.cca, fission_target_.latencies);
+    }
+
     LaConfig fission_target_;
     Benchmark benchmark_;
 };

@@ -122,7 +122,7 @@ TEST_F(Figure5Test, SchedulesAtIiFourWithOp10InLaterStage)
                            << result.reject_detail;
     EXPECT_EQ(result.mii, 4);
     EXPECT_EQ(result.schedule.ii, 4);
-    ASSERT_TRUE(result.graph.has_value());
+    ASSERT_NE(result.graph, nullptr);
     EXPECT_FALSE(
         validateSchedule(*result.graph, la_, result.schedule).has_value());
 

@@ -160,7 +160,7 @@ TEST(SchedEquivalence, OracleGradeValidationOnProducedSchedules)
             translateLoop(loop, la, TranslationMode::kFullyDynamic);
         if (!result.ok)
             continue;
-        ASSERT_TRUE(result.graph.has_value());
+        ASSERT_NE(result.graph, nullptr);
         const auto error =
             validateSchedule(*result.graph, la, result.schedule, loop,
                              result.analysis);

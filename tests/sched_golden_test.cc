@@ -93,7 +93,7 @@ snapshotLine(const std::string& stem, const CorpusCase& repro)
        << " int_regs=" << result.registers.int_regs_used
        << " fp_regs=" << result.registers.fp_regs_used << " mrt=0x"
        << std::hex
-       << mrtOccupancyHash(result.graph.value(), result.schedule);
+       << mrtOccupancyHash(*result.graph, result.schedule);
     return os.str();
 }
 

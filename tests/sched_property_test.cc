@@ -50,7 +50,7 @@ TEST_P(ScheduleProperty, TranslationsAreValidOrCleanlyRejected)
 
     // The full validator: dependences, resources, II bounds, fields, and
     // register-file capacity via the allocator's live ranges.
-    ASSERT_TRUE(result.graph.has_value());
+    ASSERT_NE(result.graph, nullptr);
     const auto error = validateSchedule(*result.graph, la, result.schedule,
                                         loop, result.analysis);
     EXPECT_FALSE(error.has_value()) << *error;
@@ -112,7 +112,7 @@ TEST_P(InfiniteResourceProperty, InfiniteMachineTracksRecMii)
     const auto result =
         translateLoop(loop, la, TranslationMode::kFullyDynamic);
     ASSERT_TRUE(result.ok) << toString(result.reject);
-    ASSERT_TRUE(result.graph.has_value());
+    ASSERT_NE(result.graph, nullptr);
     const int rec = recMii(*result.graph);
     EXPECT_GE(result.schedule.ii, rec);
     // Usually the II lands on RecMII exactly; the height-order fallback

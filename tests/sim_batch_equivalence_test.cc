@@ -294,7 +294,7 @@ TEST(SimBatchEquivalence, LaChargesMatchReferencePerPhase)
         const Loop loop = caseLoop(i);
         const TranslationResult translation =
             translateLoop(loop, la, TranslationMode::kFullyDynamic);
-        if (!translation.ok || !translation.graph.has_value())
+        if (!translation.ok || translation.graph == nullptr)
             continue;
         ++translated;
         for (const bool first : {true, false}) {

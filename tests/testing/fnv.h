@@ -1,0 +1,63 @@
+#ifndef VEAL_TESTS_TESTING_FNV_H_
+#define VEAL_TESTS_TESTING_FNV_H_
+
+/**
+ * @file
+ * FNV-1a digests for golden tests: integers byte by byte (little
+ * endian), doubles by their bits, strings byte by byte plus length.
+ */
+
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+namespace veal::testing {
+
+/** FNV-1a over 64-bit values (byte by byte) and strings. */
+class Fnv {
+  public:
+    void add(std::uint64_t value)
+    {
+        for (int byte = 0; byte < 8; ++byte)
+            mix(static_cast<unsigned char>(value >> (8 * byte)));
+    }
+    void add(std::int64_t value) { add(static_cast<std::uint64_t>(value)); }
+    void add(int value) { add(static_cast<std::int64_t>(value)); }
+    void add(bool value) { add(static_cast<std::int64_t>(value)); }
+    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+    void add(const std::string& text)
+    {
+        for (const char c : text)
+            mix(static_cast<unsigned char>(c));
+        add(static_cast<std::uint64_t>(text.size()));
+    }
+    void add(const std::vector<int>& values)
+    {
+        add(static_cast<std::uint64_t>(values.size()));
+        for (const int value : values)
+            add(value);
+    }
+
+    std::string hex() const
+    {
+        char buffer[17];
+        std::snprintf(buffer, sizeof(buffer), "%016llx",
+                      static_cast<unsigned long long>(hash_));
+        return buffer;
+    }
+
+  private:
+    void mix(unsigned char byte)
+    {
+        hash_ ^= byte;
+        hash_ *= 0x100000001b3ull;
+    }
+
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+}  // namespace veal::testing
+
+#endif  // VEAL_TESTS_TESTING_FNV_H_

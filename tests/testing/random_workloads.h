@@ -67,7 +67,7 @@ edgeTripIterations(const std::vector<Loop>& loops, int index)
 inline void
 injectOffByOne(TranslationResult& translation)
 {
-    if (!translation.graph.has_value())
+    if (translation.graph == nullptr)
         return;
     const SchedGraph& graph = *translation.graph;
     for (const auto& edge : graph.edges()) {

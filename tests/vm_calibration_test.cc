@@ -92,7 +92,7 @@ TEST(FallbackTest, WedgedSwingOrdersFallBackToHeightAndSucceed)
         EXPECT_TRUE(result.ok) << "seed " << seed << ": "
                                << toString(result.reject);
         if (result.ok) {
-            ASSERT_TRUE(result.graph.has_value());
+            ASSERT_NE(result.graph, nullptr);
             EXPECT_FALSE(validateSchedule(*result.graph,
                                           LaConfig::infinite(),
                                           result.schedule)

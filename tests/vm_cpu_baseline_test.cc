@@ -38,10 +38,11 @@ suiteApps()
 
 /** @p app with its CPU baseline reset: runs re-price every lane. */
 Application
-withoutBaseline(Application app)
+withoutBaseline(const Application& app)
 {
-    app.cpu_baseline.reset();
-    return app;
+    Application copy = app;
+    copy.cpu_baseline.reset();
+    return copy;
 }
 
 /** @p app with each site's invocations capped at @p cap (the table

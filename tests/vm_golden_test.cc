@@ -25,9 +25,7 @@
  */
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -37,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/fnv.h"
 #include "veal/arch/cpu_config.h"
 #include "veal/arch/la_config.h"
 #include "veal/fault/campaign.h"
@@ -52,42 +51,7 @@
 namespace veal {
 namespace {
 
-/** FNV-1a over 64-bit values (byte by byte) and strings. */
-class Fnv {
-  public:
-    void add(std::uint64_t value)
-    {
-        for (int byte = 0; byte < 8; ++byte)
-            mix(static_cast<unsigned char>(value >> (8 * byte)));
-    }
-    void add(std::int64_t value) { add(static_cast<std::uint64_t>(value)); }
-    void add(int value) { add(static_cast<std::int64_t>(value)); }
-    void add(bool value) { add(static_cast<std::int64_t>(value)); }
-    void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-    void add(const std::string& text)
-    {
-        for (const char c : text)
-            mix(static_cast<unsigned char>(c));
-        add(static_cast<std::uint64_t>(text.size()));
-    }
-
-    std::string hex() const
-    {
-        char buffer[17];
-        std::snprintf(buffer, sizeof(buffer), "%016llx",
-                      static_cast<unsigned long long>(hash_));
-        return buffer;
-    }
-
-  private:
-    void mix(unsigned char byte)
-    {
-        hash_ ^= byte;
-        hash_ *= 0x100000001b3ull;
-    }
-
-    std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
+using testing::Fnv;
 
 /** Every transformed app of both suites, CPU baselines included. */
 const std::vector<Application>&
