@@ -39,16 +39,16 @@ main(int argc, char** argv)
                 suite[static_cast<std::size_t>(i / kColumns)];
             switch (i % kColumns) {
               case 0:
-                return bench::appSpeedup(benchmark, la,
-                                         TranslationMode::kStatic);
+                return explore::cellSpeedup(benchmark, la,
+                                            TranslationMode::kStatic);
               case 1:
-                return bench::appSpeedup(benchmark, la,
-                                         TranslationMode::kFullyDynamic);
+                return explore::cellSpeedup(
+                    benchmark, la, TranslationMode::kFullyDynamic);
               case 2:
-                return bench::appSpeedup(
+                return explore::cellSpeedup(
                     benchmark, la, TranslationMode::kFullyDynamicHeight);
               case 3:
-                return bench::appSpeedup(
+                return explore::cellSpeedup(
                     benchmark, la,
                     TranslationMode::kHybridStaticCcaPriority);
               case 4:

@@ -172,42 +172,4 @@ reportSweepStats(const explore::SweepRunner& runner)
                  stats.cell_seconds, stats.parallelSpeedup());
 }
 
-double
-appSpeedup(const Benchmark& benchmark, const LaConfig& la,
-           TranslationMode mode, const VmOptions* extra_options)
-{
-    return explore::cellSpeedup(benchmark, la, mode, extra_options);
-}
-
-double
-meanSpeedup(const std::vector<Benchmark>& suite, const LaConfig& la,
-            TranslationMode mode, const VmOptions* extra_options)
-{
-    double sum = 0.0;
-    for (const auto& benchmark : suite)
-        sum += appSpeedup(benchmark, la, mode, extra_options);
-    return sum / static_cast<double>(suite.size());
-}
-
-LaConfig
-infiniteLike(const LaConfig& la)
-{
-    return explore::infiniteLike(la);
-}
-
-double
-fractionOfInfinite(const std::vector<Benchmark>& suite, const LaConfig& la)
-{
-    const LaConfig infinite = infiniteLike(la);
-    double sum = 0.0;
-    for (const auto& benchmark : suite) {
-        const double finite =
-            appSpeedup(benchmark, la, TranslationMode::kStatic);
-        const double unlimited =
-            appSpeedup(benchmark, infinite, TranslationMode::kStatic);
-        sum += unlimited > 0.0 ? finite / unlimited : 1.0;
-    }
-    return sum / static_cast<double>(suite.size());
-}
-
 }  // namespace veal::bench

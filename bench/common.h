@@ -68,32 +68,6 @@ void reportSweepStats(const explore::SweepRunner& runner);
 void finishBenchMetrics(const BenchOptions& options,
                         const metrics::Registry& registry);
 
-/** Whole-application speedup of @p benchmark on (la, arm11) in @p mode. */
-double appSpeedup(const Benchmark& benchmark, const LaConfig& la,
-                  TranslationMode mode,
-                  const VmOptions* extra_options = nullptr);
-
-/**
- * Mean speedup across @p suite: serial convenience for one-off
- * measurements; sweep benches batch configs through a SweepRunner
- * instead.
- */
-double meanSpeedup(const std::vector<Benchmark>& suite, const LaConfig& la,
-                   TranslationMode mode,
-                   const VmOptions* extra_options = nullptr);
-
-/**
- * The design-space-exploration metric of paper §3.1: the mean over the
- * suite of (speedup on @p la) / (speedup on the infinite-resource LA),
- * both measured with zero translation overhead.  Serial convenience;
- * equals explore::SweepRunner::fractionOfInfinite on a one-config grid.
- */
-double fractionOfInfinite(const std::vector<Benchmark>& suite,
-                          const LaConfig& la);
-
-/** Infinite machine matching @p la's CCA presence (sweep baseline). */
-LaConfig infiniteLike(const LaConfig& la);
-
 }  // namespace veal::bench
 
 #endif  // VEAL_BENCH_COMMON_H_

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,77 +51,25 @@ gatherPieces(const std::vector<Benchmark>& suite)
     return pieces;
 }
 
-std::string
-formatDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.3f", value);
-    return buffer;
-}
+/** One backend's share of the steered suite. */
+struct BackendTally {
+    std::int64_t placed_pieces = 0;
+    std::int64_t placed_invocations = 0;
+    std::int64_t steady_cycles = 0;
+};
 
-double
-p50(std::vector<double> samples)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    return samples[(samples.size() - 1) / 2];
-}
+/** One benchmark's baseline-vs-fleet totals. */
+struct BenchmarkTally {
+    std::int64_t baseline_cycles = 0;
+    std::int64_t fleet_cycles = 0;
+};
 
 }  // namespace
 
-std::string
-FleetBenchReport::toJson() const
-{
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"veal-fleet-bench-v1\",\n";
-    os << "  \"commit\": \"" << commit << "\",\n";
-    os << "  \"fleet\": \"" << fleet << "\",\n";
-    os << "  \"runs\": " << runs << ",\n";
-    os << "  \"pieces\": " << pieces << ",\n";
-    os << "  \"scored_cells\": " << scored_cells << ",\n";
-    os << "  \"cpu_steady_cycles\": " << cpu_steady_cycles << ",\n";
-    os << "  \"baseline_steady_cycles\": " << baseline_steady_cycles
-       << ",\n";
-    os << "  \"fleet_steady_cycles\": " << fleet_steady_cycles << ",\n";
-    os << "  \"cpu_win_pieces\": " << cpu_win_pieces << ",\n";
-    os << "  \"speedup_milli\": " << speedup_milli << ",\n";
-    os << "  \"backends\": [\n";
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-        const auto& backend = backends[i];
-        os << "    {\"name\": \"" << backend.name
-           << "\", \"placed_pieces\": " << backend.placed_pieces
-           << ", \"placed_invocations\": " << backend.placed_invocations
-           << ", \"steady_cycles\": " << backend.steady_cycles << "}"
-           << (i + 1 < backends.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-    os << "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < benchmarks.size(); ++i) {
-        const auto& bench = benchmarks[i];
-        os << "    {\"name\": \"" << bench.name
-           << "\", \"baseline_cycles\": " << bench.baseline_cycles
-           << ", \"fleet_cycles\": " << bench.fleet_cycles
-           << ", \"speedup_milli\": " << bench.speedup_milli << "}"
-           << (i + 1 < benchmarks.size() ? "," : "") << "\n";
-    }
-    os << "  ],\n";
-    os << "  \"wall_ms\": {\"p50\": " << formatDouble(p50_wall_ms)
-       << "}\n";
-    os << "}\n";
-    return os.str();
-}
-
-FleetBenchReport
-runFleetBench(const ThroughputOptions& options)
+ModeReport
+runFleetBench(const ModeOptions& options)
 {
     using Clock = std::chrono::steady_clock;
-
-    FleetBenchReport report;
-    report.commit = options.commit;
-    report.runs = options.runs;
-    report.fleet = "standard";
 
     const fleet::FleetConfig config = fleet::FleetConfig::standard();
     std::vector<LaConfig> backends;
@@ -137,17 +83,16 @@ runFleetBench(const ThroughputOptions& options)
     // by the static toolchain for the baseline design point.  Fleet
     // members must win on the *same* pieces, never on friendlier ones.
     explore::SweepRunner runner(mediaFpSuite(), options.threads);
-    report.threads = runner.threads();
     const std::vector<Piece> pieces = gatherPieces(runner.suite());
-    report.pieces = static_cast<std::int64_t>(pieces.size());
-    report.scored_cells =
-        report.pieces * static_cast<std::int64_t>(backends.size());
+    const auto scored_cells =
+        static_cast<std::int64_t>(pieces.size() * backends.size());
 
     // Scoring grid, grouped by per-site iteration count (a score is
     // priced at the site's real trip count).  Repeated --runs times for
     // the wall-clock sample; every pass must agree bit for bit.
     std::vector<std::vector<explore::LoopScore>> scores(pieces.size());
-    for (int run = 0; run < std::max(1, options.runs); ++run) {
+    std::vector<double> wall_ms;
+    for (int run = 0; run < options.runs; ++run) {
         std::vector<std::vector<explore::LoopScore>> pass(pieces.size());
         const auto start = Clock::now();
         std::map<std::int64_t, std::vector<std::size_t>> by_iterations;
@@ -166,13 +111,13 @@ runFleetBench(const ThroughputOptions& options)
         const double ms = std::chrono::duration<double, std::milli>(
                               Clock::now() - start)
                               .count();
-        report.wall_ms.push_back(ms);
+        wall_ms.push_back(ms);
         std::fprintf(stderr,
                      "veal-bench: fleet scoring pass %d/%d %.2f ms "
                      "(%lld cells, %d threads)\n",
-                     run + 1, std::max(1, options.runs), ms,
-                     static_cast<long long>(report.scored_cells),
-                     report.threads);
+                     run + 1, options.runs, ms,
+                     static_cast<long long>(scored_cells),
+                     runner.threads());
         if (run == 0) {
             scores = std::move(pass);
         } else {
@@ -186,17 +131,16 @@ runFleetBench(const ThroughputOptions& options)
             }
         }
     }
-    report.p50_wall_ms = p50(report.wall_ms);
 
     // Steer every piece through the real FleetSteerer (unlimited
     // capacity: the study compares design points, not admission).
     fleet::FleetSteerer steerer(config);
-    report.backends.resize(backends.size());
-    for (std::size_t j = 0; j < backends.size(); ++j)
-        report.backends[j].name = backends[j].name;
-    report.benchmarks.resize(runner.suite().size());
-    for (std::size_t b = 0; b < runner.suite().size(); ++b)
-        report.benchmarks[b].name = runner.suite()[b].name;
+    std::vector<BackendTally> backend_tallies(backends.size());
+    std::vector<BenchmarkTally> benchmark_tallies(runner.suite().size());
+    std::int64_t cpu_steady_cycles = 0;
+    std::int64_t baseline_steady_cycles = 0;
+    std::int64_t fleet_steady_cycles = 0;
+    std::int64_t cpu_win_pieces = 0;
 
     for (std::size_t i = 0; i < pieces.size(); ++i) {
         const Piece& piece = pieces[i];
@@ -204,16 +148,15 @@ runFleetBench(const ThroughputOptions& options)
         const std::int64_t cpu_piece =
             weight * explore::scoreCpuCycles(*piece.loop, cpu,
                                              piece.iterations);
-        report.cpu_steady_cycles += cpu_piece;
+        cpu_steady_cycles += cpu_piece;
 
         // Baseline: the single proposed design point (fleet index 0).
         const explore::LoopScore& base = scores[i][0];
         const std::int64_t baseline_piece =
             base.ok ? std::min(cpu_piece, weight * base.warm_cycles)
                     : cpu_piece;
-        report.baseline_steady_cycles += baseline_piece;
-        report.benchmarks[piece.benchmark].baseline_cycles +=
-            baseline_piece;
+        baseline_steady_cycles += baseline_piece;
+        benchmark_tallies[piece.benchmark].baseline_cycles += baseline_piece;
 
         // Fleet: steer, then serve from the placed backend (CPU when
         // the backend still loses at this piece's trip count).
@@ -239,37 +182,59 @@ runFleetBench(const ThroughputOptions& options)
             const auto b = static_cast<std::size_t>(placement.backend);
             const std::int64_t la_piece =
                 weight * scores[i][b].warm_cycles;
-            ++report.backends[b].placed_pieces;
-            report.backends[b].placed_invocations += weight;
+            ++backend_tallies[b].placed_pieces;
+            backend_tallies[b].placed_invocations += weight;
             if (la_piece < cpu_piece) {
                 fleet_piece = la_piece;
-                report.backends[b].steady_cycles += la_piece;
+                backend_tallies[b].steady_cycles += la_piece;
             } else {
-                ++report.cpu_win_pieces;
+                ++cpu_win_pieces;
             }
         } else {
-            ++report.cpu_win_pieces;
+            ++cpu_win_pieces;
         }
-        report.fleet_steady_cycles += fleet_piece;
-        report.benchmarks[piece.benchmark].fleet_cycles += fleet_piece;
+        fleet_steady_cycles += fleet_piece;
+        benchmark_tallies[piece.benchmark].fleet_cycles += fleet_piece;
     }
 
-    VEAL_ASSERT(report.fleet_steady_cycles > 0);
-    report.speedup_milli =
-        report.baseline_steady_cycles * 1000 / report.fleet_steady_cycles;
-    for (auto& bench : report.benchmarks) {
-        bench.speedup_milli =
-            bench.fleet_cycles > 0
-                ? bench.baseline_cycles * 1000 / bench.fleet_cycles
-                : 1000;
+    VEAL_ASSERT(fleet_steady_cycles > 0);
+    std::vector<JsonBlock> backend_rows;
+    for (std::size_t j = 0; j < backends.size(); ++j) {
+        const BackendTally& tally = backend_tallies[j];
+        backend_rows.push_back(
+            JsonBlock()
+                .add("name", backends[j].name)
+                .add("placed_pieces", tally.placed_pieces)
+                .add("placed_invocations", tally.placed_invocations)
+                .add("steady_cycles", tally.steady_cycles));
+    }
+    std::vector<JsonBlock> benchmark_rows;
+    for (std::size_t b = 0; b < benchmark_tallies.size(); ++b) {
+        const BenchmarkTally& tally = benchmark_tallies[b];
+        benchmark_rows.push_back(
+            JsonBlock()
+                .add("name", runner.suite()[b].name)
+                .add("baseline_cycles", tally.baseline_cycles)
+                .add("fleet_cycles", tally.fleet_cycles)
+                .add("speedup_milli",
+                     tally.fleet_cycles > 0
+                         ? tally.baseline_cycles * 1000 / tally.fleet_cycles
+                         : 1000));
     }
 
-    if (!options.json_path.empty()) {
-        std::ofstream out(options.json_path);
-        VEAL_ASSERT(static_cast<bool>(out), "cannot write ",
-                    options.json_path);
-        out << report.toJson();
-    }
+    ModeReport report;
+    report.modeled.add("fleet", std::string("standard"))
+        .add("pieces", static_cast<std::int64_t>(pieces.size()))
+        .add("scored_cells", scored_cells)
+        .add("cpu_steady_cycles", cpu_steady_cycles)
+        .add("baseline_steady_cycles", baseline_steady_cycles)
+        .add("fleet_steady_cycles", fleet_steady_cycles)
+        .add("cpu_win_pieces", cpu_win_pieces)
+        .add("speedup_milli",
+             baseline_steady_cycles * 1000 / fleet_steady_cycles)
+        .add("backends", backend_rows)
+        .add("benchmarks", benchmark_rows);
+    report.wall.add("p50_ms", p50(wall_ms));
     return report;
 }
 

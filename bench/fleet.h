@@ -17,74 +17,34 @@
  *               escape hatch).
  *
  * Totals are invocation-weighted warm (steady-state) cycles, entirely
- * modeled, so they are byte-stable across machines and --threads; the
- * committed BENCH_fleet.json (schema veal-fleet-bench-v1) pins the
- * fleet-level win and CI fails if the modeled fields drift or the
- * speedup falls below the 1.1x floor.  Wall-clock per scoring pass
- * goes to stderr and the JSON only.
+ * modeled, so they are byte-stable across machines and --threads;
+ * tests/bench_golden_test.cc pins them and holds the fleet-level
+ * speedup to at least 1.1x.  Wall-clock per scoring pass goes to
+ * stderr and the envelope only.
  */
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "bench/throughput.h"
+#include "bench/report.h"
 
 namespace veal::bench {
 
-/** One fleet backend's share of the steered suite. */
-struct FleetBenchBackend {
-    std::string name;
-    std::int64_t placed_pieces = 0;       ///< Pieces steered here.
-    std::int64_t placed_invocations = 0;  ///< Their profile weight.
-    /** Weighted warm cycles this backend serves (CPU-win pieces
-        excluded: those cycles live in the CPU total). */
-    std::int64_t steady_cycles = 0;
-};
-
-/** One benchmark's baseline-vs-fleet comparison. */
-struct FleetBenchBenchmark {
-    std::string name;
-    std::int64_t baseline_cycles = 0;
-    std::int64_t fleet_cycles = 0;
-    std::int64_t speedup_milli = 0;  ///< baseline * 1000 / fleet.
-};
-
-/** Everything one --mode fleet invocation measured. */
-struct FleetBenchReport {
-    std::string commit;
-    std::string fleet;  ///< Fleet spec evaluated ("standard").
-    int runs = 0;
-    int threads = 0;
-
-    // --- Modeled fields: byte-identical across machines and shapes.
-    std::int64_t pieces = 0;        ///< Loop pieces priced.
-    std::int64_t scored_cells = 0;  ///< pieces x backends evaluations.
-    std::int64_t cpu_steady_cycles = 0;       ///< All-CPU strawman.
-    std::int64_t baseline_steady_cycles = 0;  ///< Single design point.
-    std::int64_t fleet_steady_cycles = 0;     ///< Steered fleet.
-    std::int64_t cpu_win_pieces = 0;  ///< Pieces the CPU serves anyway.
-    /** baseline_steady_cycles * 1000 / fleet_steady_cycles: the
-        fleet-level speedup, gated at >= 1100 in CI. */
-    std::int64_t speedup_milli = 0;
-    std::vector<FleetBenchBackend> backends;
-    std::vector<FleetBenchBenchmark> benchmarks;
-
-    // --- Wall clock (stderr/JSON only; never deterministic).
-    std::vector<double> wall_ms;
-    double p50_wall_ms = 0.0;
-
-    /** The veal-fleet-bench-v1 JSON rendering of this report. */
-    std::string toJson() const;
-};
-
 /**
- * Run the study: --runs timed scoring passes over the media/FP suite
- * (each pass must produce identical modeled totals -- asserted), steer
- * once, and compare.  Honours options.runs, options.threads,
- * options.commit, and options.json_path (fatal on I/O error).
+ * Run the study: options.runs timed scoring passes over the media/FP
+ * suite on an options.threads-wide pool (each pass must produce
+ * identical scores -- asserted), steer once, and compare.
+ *
+ * Modeled block, in order: fleet (the spec evaluated, "standard");
+ * pieces (loop pieces priced); scored_cells (pieces x backends);
+ * cpu_steady_cycles (the all-CPU strawman); baseline_steady_cycles
+ * (single design point); fleet_steady_cycles (steered fleet);
+ * cpu_win_pieces (pieces the CPU serves anyway); speedup_milli
+ * (baseline * 1000 / fleet); backends, one row per backend with
+ * placed_pieces, placed_invocations (their profile weight) and
+ * steady_cycles (weighted warm cycles served there; CPU-win pieces
+ * count in the CPU total); and benchmarks, one row per benchmark with
+ * baseline_cycles, fleet_cycles and speedup_milli.  Wall block: p50_ms
+ * of the scoring passes.
  */
-FleetBenchReport runFleetBench(const ThroughputOptions& options);
+ModeReport runFleetBench(const ModeOptions& options);
 
 }  // namespace veal::bench
 

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "veal/service/service.h"
 #include "veal/service/trace.h"
 #include "veal/support/assert.h"
-#include "veal/support/logging.h"
+#include "veal/support/fnv.h"
 #include "veal/vm/persist/store.h"
 
 namespace veal::bench {
@@ -41,26 +38,6 @@ constexpr int kChurnRounds = 3;
 
 /** Small segments for the churn pass so compaction has real work. */
 constexpr std::int64_t kChurnSegmentBytes = 4096;
-
-std::uint64_t
-fnv1a(const std::string& text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
-std::string
-hex(std::uint64_t value)
-{
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
 
 ServiceOptions
 makeOptions(const std::string& cache_dir, const Shape& shape)
@@ -93,70 +70,12 @@ runOnce(const ServiceTrace& trace, const ServiceOptions& options,
     return service.report().render();
 }
 
-double
-p50(std::vector<double> samples)
-{
-    if (samples.empty())
-        return 0.0;
-    std::sort(samples.begin(), samples.end());
-    return samples[(samples.size() - 1) / 2];
-}
-
-std::string
-formatDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.3f", value);
-    return buffer;
-}
-
 }  // namespace
 
-std::string
-PersistReport::toJson() const
-{
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"veal-persist-bench-v2\",\n";
-    os << "  \"commit\": \"" << commit << "\",\n";
-    os << "  \"runs\": " << runs << ",\n";
-    os << "  \"requests\": " << requests << ",\n";
-    os << "  \"loops\": " << loops << ",\n";
-    os << "  \"tenants\": " << tenants << ",\n";
-    os << "  \"cold_translation_cycles\": " << cold_translation_cycles
-       << ",\n";
-    os << "  \"warm_translation_cycles\": " << warm_translation_cycles
-       << ",\n";
-    os << "  \"translation_cycle_ratio\": " << translation_cycle_ratio
-       << ",\n";
-    os << "  \"cold_persisted\": " << cold_persisted << ",\n";
-    os << "  \"warm_persisted\": " << warm_persisted << ",\n";
-    os << "  \"cold_report_digest\": \"" << cold_report_digest << "\",\n";
-    os << "  \"warm_report_digest\": \"" << warm_report_digest << "\",\n";
-    os << "  \"recovered_entries\": " << recovered_entries << ",\n";
-    os << "  \"churn_rounds\": " << churn_rounds << ",\n";
-    os << "  \"churn_log_bytes\": " << churn_log_bytes << ",\n";
-    os << "  \"compacted_log_bytes\": " << compacted_log_bytes << ",\n";
-    os << "  \"compaction_reclaimed_bytes\": "
-       << compaction_reclaimed_bytes << ",\n";
-    os << "  \"compactions\": " << compactions << ",\n";
-    os << "  \"wall_ms\": {\"cold_p50\": " << formatDouble(cold_p50_ms)
-       << ", \"warm_p50\": " << formatDouble(warm_p50_ms)
-       << ", \"recover_p50\": " << formatDouble(recover_p50_ms) << "}\n";
-    os << "}\n";
-    return os.str();
-}
-
-PersistReport
-runPersistBench(const ThroughputOptions& options)
+ModeReport
+runPersistBench(const ModeOptions& options)
 {
     namespace fs = std::filesystem;
-    PersistReport report;
-    report.commit = options.commit;
-    report.runs = options.runs;
-    report.requests = kRequests;
-    report.loops = kLoops;
-    report.tenants = kTenants;
 
     TraceGenOptions gen;
     gen.requests = kRequests;
@@ -179,13 +98,14 @@ runPersistBench(const ThroughputOptions& options)
     // (the report must come out identical every time).
     ServiceReport cold;
     std::string cold_render;
+    std::vector<double> cold_wall_ms;
     for (int run = 0; run < options.runs; ++run) {
         fs::remove_all(cache_dir, ec);
         double ms = 0.0;
         std::string render = runOnce(
             trace, makeOptions(cache_dir.string(), kMatrix[1]), &cold,
             &ms);
-        report.cold_wall_ms.push_back(ms);
+        cold_wall_ms.push_back(ms);
         std::fprintf(stderr,
                      "veal-bench: persist cold pass %d/%d %.2f ms\n",
                      run + 1, options.runs, ms);
@@ -203,12 +123,13 @@ runPersistBench(const ThroughputOptions& options)
     // timed passes; every pass must render the same bytes.
     ServiceReport warm;
     std::string warm_render;
+    std::vector<double> warm_wall_ms;
     for (int run = 0; run < options.runs; ++run) {
         double ms = 0.0;
         std::string render = runOnce(
             trace, makeOptions(cache_dir.string(), kMatrix[1]), &warm,
             &ms);
-        report.warm_wall_ms.push_back(ms);
+        warm_wall_ms.push_back(ms);
         std::fprintf(stderr,
                      "veal-bench: persist warm pass %d/%d %.2f ms\n",
                      run + 1, options.runs, ms);
@@ -237,6 +158,7 @@ runPersistBench(const ThroughputOptions& options)
     // directory -- this is the warm-restart tax before the first
     // request can be served.
     std::int64_t recovered = 0;
+    std::vector<double> recover_wall_ms;
     for (int run = 0; run < options.runs; ++run) {
         using Clock = std::chrono::steady_clock;
         const auto start = Clock::now();
@@ -245,7 +167,7 @@ runPersistBench(const ThroughputOptions& options)
         const double ms = std::chrono::duration<double, std::milli>(
                               Clock::now() - start)
                               .count();
-        report.recover_wall_ms.push_back(ms);
+        recover_wall_ms.push_back(ms);
         if (run == 0) {
             recovered = store.size();
         } else {
@@ -302,32 +224,31 @@ runPersistBench(const ThroughputOptions& options)
                 warm.translation_cycles, " cycles)");
     VEAL_ASSERT(warm.persisted > 0, "warm run never hit the store");
 
-    report.cold_translation_cycles = cold.translation_cycles;
-    report.warm_translation_cycles = warm.translation_cycles;
-    report.translation_cycle_ratio =
-        cold.translation_cycles /
-        std::max<std::int64_t>(warm.translation_cycles, 1);
-    report.cold_persisted = cold.cold + cold.coalesced;
-    report.warm_persisted = warm.persisted;
-    report.cold_report_digest = hex(fnv1a(cold_render));
-    report.warm_report_digest = hex(fnv1a(warm_render));
-    report.recovered_entries = recovered;
-    report.churn_rounds = kChurnRounds;
-    report.churn_log_bytes = churn_log_bytes;
-    report.compacted_log_bytes = compacted_log_bytes;
-    report.compaction_reclaimed_bytes = reclaimed_bytes;
-    report.compactions = compactions;
-    report.cold_p50_ms = p50(report.cold_wall_ms);
-    report.warm_p50_ms = p50(report.warm_wall_ms);
-    report.recover_p50_ms = p50(report.recover_wall_ms);
-
-    if (!options.json_path.empty()) {
-        std::ofstream out(options.json_path);
-        out << report.toJson();
-        if (!out) {
-            fatal("cannot write bench report to ", options.json_path);
-        }
-    }
+    const auto digest = [](const std::string& render) {
+        return hex(fnvBytes(render.data(), render.size()));
+    };
+    ModeReport report;
+    report.modeled.add("requests", kRequests)
+        .add("loops", kLoops)
+        .add("tenants", kTenants)
+        .add("cold_translation_cycles", cold.translation_cycles)
+        .add("warm_translation_cycles", warm.translation_cycles)
+        .add("translation_cycle_ratio",
+             cold.translation_cycles /
+                 std::max<std::int64_t>(warm.translation_cycles, 1))
+        .add("cold_persisted", cold.cold + cold.coalesced)
+        .add("warm_persisted", warm.persisted)
+        .add("cold_report_digest", digest(cold_render))
+        .add("warm_report_digest", digest(warm_render))
+        .add("recovered_entries", recovered)
+        .add("churn_rounds", kChurnRounds)
+        .add("churn_log_bytes", churn_log_bytes)
+        .add("compacted_log_bytes", compacted_log_bytes)
+        .add("compaction_reclaimed_bytes", reclaimed_bytes)
+        .add("compactions", compactions);
+    report.wall.add("cold_p50_ms", p50(cold_wall_ms))
+        .add("warm_p50_ms", p50(warm_wall_ms))
+        .add("recover_p50_ms", p50(recover_wall_ms));
     return report;
 }
 

@@ -22,72 +22,36 @@
  * The contracts this bench pins, asserted in-process every run:
  * every warm report renders byte-identical to every other warm report
  * (including the whole matrix), warm translation cycles are *zero*
- * (every key is served from the store), and the cold/warm
- * translation-cycle ratio clears the committed floor.  The JSON
- * (BENCH_persist.json, schema veal-persist-bench-v2) pins the warm-start
- * win in the repo: CI fails if the committed modeled fields drift or
- * the ratio falls below the floor.
+ * (every key is served from the store).  tests/bench_golden_test.cc
+ * pins the modeled block and holds the cold/warm translation-cycle
+ * ratio to at least 10x.
  *
- * Wall-clock per-phase timings go to stderr and the JSON only; every
- * other field is modeled and byte-stable.
+ * Wall-clock per-phase timings go to stderr and the envelope only;
+ * every other field is modeled and byte-stable.
  */
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "bench/throughput.h"
+#include "bench/report.h"
 
 namespace veal::bench {
 
-/** Everything one --mode persist invocation measured. */
-struct PersistReport {
-    std::string commit;
-    int runs = 0;
-
-    /** Fixed trace shape (seed-derived; recorded for the record). */
-    int requests = 0;
-    int loops = 0;
-    int tenants = 0;
-
-    // --- Modeled fields: byte-identical across machines and shapes.
-    std::int64_t cold_translation_cycles = 0;
-    std::int64_t warm_translation_cycles = 0;  ///< Asserted zero.
-    /** cold / max(warm, 1): the warm-start win, gated in CI. */
-    std::int64_t translation_cycle_ratio = 0;
-    std::int64_t cold_persisted = 0;  ///< Store entries the cold run saved.
-    std::int64_t warm_persisted = 0;  ///< Requests served from the store.
-    std::string cold_report_digest;   ///< FNV over the cold render.
-    std::string warm_report_digest;   ///< FNV over the (shared) warm render.
-
-    // --- Lifecycle study (modeled: byte counts from the segment log).
-    std::int64_t recovered_entries = 0;  ///< Entries a recovery open sees.
-    std::int64_t churn_rounds = 0;       ///< Re-save generations applied.
-    /** Log size after churn (fully-garbage segments auto-compacted). */
-    std::int64_t churn_log_bytes = 0;
-    std::int64_t compacted_log_bytes = 0;  ///< Log size at compaction fixpoint.
-    std::int64_t compaction_reclaimed_bytes = 0;  ///< Garbage deleted.
-    std::int64_t compactions = 0;        ///< Segment compactions performed.
-
-    // --- Wall clock (stderr/JSON only; never deterministic).
-    std::vector<double> cold_wall_ms;
-    std::vector<double> warm_wall_ms;
-    std::vector<double> recover_wall_ms;
-    double cold_p50_ms = 0.0;
-    double warm_p50_ms = 0.0;
-    double recover_p50_ms = 0.0;
-
-    /** The veal-persist-bench-v2 JSON rendering of this report. */
-    std::string toJson() const;
-};
-
 /**
  * Run the study against a scratch cache directory under the system temp
- * dir (created fresh, removed on exit).  Honours options.runs,
- * options.commit, and options.json_path (fatal on I/O error); per-phase
- * timing prints to stderr only.
+ * dir (created fresh, removed on exit), options.runs timed passes per
+ * phase; per-phase timing prints to stderr.
+ *
+ * Modeled block, in order: the fixed trace shape (requests, loops,
+ * tenants); cold_translation_cycles; warm_translation_cycles (asserted
+ * zero); translation_cycle_ratio (cold / max(warm, 1), the warm-start
+ * win); cold_persisted (store entries the cold run saved);
+ * warm_persisted (requests served from the store); cold_report_digest
+ * and warm_report_digest (FNV over the rendered reports); then the
+ * lifecycle study: recovered_entries (entries a recovery open sees),
+ * churn_rounds, churn_log_bytes (log size after churn, fully-garbage
+ * segments auto-compacted), compacted_log_bytes (at the compaction
+ * fixpoint), compaction_reclaimed_bytes and compactions.  Wall block:
+ * cold_p50_ms, warm_p50_ms and recover_p50_ms.
  */
-PersistReport runPersistBench(const ThroughputOptions& options);
+ModeReport runPersistBench(const ModeOptions& options);
 
 }  // namespace veal::bench
 

@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <memory>
-#include <sstream>
-#include <utility>
 
 #include "veal/arch/cpu_config.h"
 #include "veal/arch/la_config.h"
@@ -17,7 +13,7 @@
 #include "veal/sim/batch.h"
 #include "veal/sim/reference.h"
 #include "veal/support/assert.h"
-#include "veal/support/logging.h"
+#include "veal/support/fnv.h"
 #include "veal/support/thread_pool.h"
 #include "veal/vm/translator.h"
 
@@ -30,37 +26,11 @@ constexpr std::uint64_t kCampaignSeed = 0x51bca5e5ull;
 constexpr int kCases = 512;
 constexpr std::int64_t kInterpretIterations = 64;
 
-/** FNV-1a over every modeled quantity, mixed in case order. */
-struct Fnv {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-
-    void
-    mix(std::uint64_t value)
-    {
-        for (int b = 0; b < 8; ++b) {
-            hash ^= (value >> (8 * b)) & 0xffu;
-            hash *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    mix(const std::string& text)
-    {
-        for (const char c : text) {
-            hash ^= static_cast<unsigned char>(c);
-            hash *= 0x100000001b3ull;
-        }
-        mix(text.size());
-    }
-};
-
-std::string
-hex(std::uint64_t value)
+/** FNV-1a over a string's bytes, then its length. */
+std::uint64_t
+fnvText(std::uint64_t hash, const std::string& text)
 {
-    char buffer[32];
-    std::snprintf(buffer, sizeof buffer, "0x%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
+    return fnvFold64(fnvBytes(text.data(), text.size(), hash), text.size());
 }
 
 /** Where a batch lane's architectural results live, post-pass. */
@@ -237,14 +207,19 @@ Modeled
 digestOutputs(const std::vector<CaseOutput>& outputs)
 {
     Modeled modeled;
-    Fnv cpu;
-    Fnv exec;
-    Fnv la;
+    std::uint64_t cpu = kFnvOffsetBasis;
+    std::uint64_t exec = kFnvOffsetBasis;
+    std::uint64_t la = kFnvOffsetBasis;
+    const auto mixExec = [&exec](std::int64_t a, std::int64_t b) {
+        exec = fnvFold64(fnvFold64(exec, static_cast<std::uint64_t>(a)),
+                         static_cast<std::uint64_t>(b));
+    };
     for (const CaseOutput& out : outputs) {
         modeled.total_cpu_cycles += out.timing.total_cycles;
-        cpu.mix(static_cast<std::uint64_t>(out.timing.total_cycles));
-        cpu.mix(std::bit_cast<std::uint64_t>(
-            out.timing.cycles_per_iteration));
+        cpu = fnvFold64(cpu,
+                        static_cast<std::uint64_t>(out.timing.total_cycles));
+        cpu = fnvFold64(cpu, std::bit_cast<std::uint64_t>(
+                                 out.timing.cycles_per_iteration));
 
         // Both branches visit the identical (live-out, region, cell)
         // sequence -- the digests matching IS the bit-identity claim.
@@ -253,33 +228,21 @@ digestOutputs(const std::vector<CaseOutput>& outputs)
             const auto& lane = view.lanes[out.exec_ref.lane];
             for (std::size_t lo = lane.live_out_begin;
                  lo < lane.live_out_end; ++lo) {
-                exec.mix(static_cast<std::uint64_t>(
-                    view.live_outs[lo].first));
-                exec.mix(static_cast<std::uint64_t>(
-                    view.live_outs[lo].second));
+                mixExec(view.live_outs[lo].first, view.live_outs[lo].second);
             }
             for (std::size_t r = lane.region_begin; r < lane.region_end;
                  ++r) {
                 const BatchExecView::Region& region = view.regions[r];
-                exec.mix(*region.name);
-                forEachRegionCell(
-                    region,
-                    [&exec](std::int64_t address, std::int64_t value) {
-                        exec.mix(static_cast<std::uint64_t>(address));
-                        exec.mix(static_cast<std::uint64_t>(value));
-                    });
+                exec = fnvText(exec, *region.name);
+                forEachRegionCell(region, mixExec);
             }
         } else {
-            for (const auto& [op, value] : out.exec.live_outs) {
-                exec.mix(static_cast<std::uint64_t>(op));
-                exec.mix(static_cast<std::uint64_t>(value));
-            }
+            for (const auto& [op, value] : out.exec.live_outs)
+                mixExec(op, value);
             for (const auto& [symbol, cells] : out.exec.memory) {
-                exec.mix(symbol);
-                for (const auto& [address, value] : cells) {
-                    exec.mix(static_cast<std::uint64_t>(address));
-                    exec.mix(static_cast<std::uint64_t>(value));
-                }
+                exec = fnvText(exec, symbol);
+                for (const auto& [address, value] : cells)
+                    mixExec(address, value);
             }
         }
 
@@ -287,89 +250,26 @@ digestOutputs(const std::vector<CaseOutput>& outputs)
             ++modeled.translated_cases;
             for (const LaInvocationCost* cost :
                  {&out.first_cost, &out.warm_cost}) {
-                la.mix(static_cast<std::uint64_t>(cost->setup_cycles));
-                la.mix(static_cast<std::uint64_t>(cost->pipeline_cycles));
-                la.mix(static_cast<std::uint64_t>(cost->drain_cycles));
+                for (const std::int64_t cycles :
+                     {cost->setup_cycles, cost->pipeline_cycles,
+                      cost->drain_cycles})
+                    la = fnvFold64(la, static_cast<std::uint64_t>(cycles));
             }
         }
     }
-    modeled.cpu_digest = cpu.hash;
-    modeled.exec_digest = exec.hash;
-    modeled.la_digest = la.hash;
+    modeled.cpu_digest = cpu;
+    modeled.exec_digest = exec;
+    modeled.la_digest = la;
     return modeled;
-}
-
-/** Nearest-rank quantile over a sorted sample. */
-double
-quantile(const std::vector<double>& sorted, double q)
-{
-    if (sorted.empty())
-        return 0.0;
-    const auto index = static_cast<std::size_t>(std::llround(
-        q * static_cast<double>(sorted.size() - 1)));
-    return sorted[std::min(index, sorted.size() - 1)];
-}
-
-std::string
-formatDouble(double value)
-{
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "%.3f", value);
-    return buffer;
-}
-
-double
-p50(std::vector<double> samples)
-{
-    std::sort(samples.begin(), samples.end());
-    return quantile(samples, 0.50);
 }
 
 }  // namespace
 
-std::string
-SimulationReport::toJson() const
+ModeReport
+runSimulationThroughput(const ModeOptions& options)
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"veal-sim-bench-v1\",\n";
-    os << "  \"commit\": \"" << commit << "\",\n";
-    os << "  \"threads\": " << threads << ",\n";
-    os << "  \"batch\": " << batch << ",\n";
-    os << "  \"runs\": " << runs << ",\n";
-    os << "  \"cases\": " << cases << ",\n";
-    os << "  \"iterations\": " << iterations << ",\n";
-    os << "  \"translated_cases\": " << translated_cases << ",\n";
-    os << "  \"total_cpu_cycles\": " << total_cpu_cycles << ",\n";
-    os << "  \"cpu_digest\": \"" << cpu_digest << "\",\n";
-    os << "  \"exec_digest\": \"" << exec_digest << "\",\n";
-    os << "  \"la_digest\": \"" << la_digest << "\",\n";
-    os << "  \"wall_ms\": {\"reference_p50\": "
-       << formatDouble(reference_p50_ms)
-       << ", \"batched_p50\": " << formatDouble(batched_p50_ms) << "},\n";
-    os << "  \"reference_cases_per_sec\": "
-       << formatDouble(reference_cases_per_sec) << ",\n";
-    os << "  \"batched_cases_per_sec\": "
-       << formatDouble(batched_cases_per_sec) << ",\n";
-    os << "  \"speedup_vs_reference\": "
-       << formatDouble(speedup_vs_reference) << "\n";
-    os << "}\n";
-    return os.str();
-}
-
-SimulationReport
-runSimulationThroughput(const ThroughputOptions& options)
-{
-    SimulationReport report;
-    report.commit = options.commit;
-    report.runs = options.runs;
-    report.batch = std::max(1, options.batch);
-    report.cases = kCases;
-    report.iterations = kInterpretIterations;
-
     const CaseSet set = makeCaseSet();
     ThreadPool pool(options.threads);
-    report.threads = pool.numThreads();
 
     using Clock = std::chrono::steady_clock;
     const auto timed = [&](const auto& pass, const char* label,
@@ -386,10 +286,11 @@ runSimulationThroughput(const ThroughputOptions& options)
     };
 
     Modeled modeled;
+    std::vector<double> reference_wall_ms;
     for (int run = 0; run < options.runs; ++run) {
         const Modeled pass = timed(
             [&] { return referencePass(set, pool); }, "reference",
-            &report.reference_wall_ms);
+            &reference_wall_ms);
         if (run == 0) {
             modeled = pass;
         } else {
@@ -397,51 +298,47 @@ runSimulationThroughput(const ThroughputOptions& options)
                         "reference pass drifted across bench runs");
         }
     }
-    const int blocks = (kCases + report.batch - 1) / report.batch;
+    const int blocks = (kCases + options.batch - 1) / options.batch;
     std::vector<std::unique_ptr<BatchSimulator>> simulators;
     simulators.reserve(static_cast<std::size_t>(blocks));
     for (int block = 0; block < blocks; ++block)
         simulators.push_back(std::make_unique<BatchSimulator>());
+    std::vector<double> batched_wall_ms;
     for (int run = 0; run < options.runs; ++run) {
         const Modeled pass = timed(
             [&] {
-                return batchedPass(set, pool, report.batch, simulators);
+                return batchedPass(set, pool, options.batch, simulators);
             },
-            "batched", &report.batched_wall_ms);
+            "batched", &batched_wall_ms);
         // The contract this bench exists to pin: the batch engine is
         // bit-identical to the frozen oracle on every modeled quantity.
         VEAL_ASSERT(pass == modeled,
                     "batched pass diverged from the reference oracle");
     }
 
-    report.translated_cases = modeled.translated_cases;
-    report.total_cpu_cycles = modeled.total_cpu_cycles;
-    report.cpu_digest = hex(modeled.cpu_digest);
-    report.exec_digest = hex(modeled.exec_digest);
-    report.la_digest = hex(modeled.la_digest);
+    ModeReport report;
+    report.modeled.add("cases", kCases)
+        .add("iterations", kInterpretIterations)
+        .add("translated_cases", modeled.translated_cases)
+        .add("total_cpu_cycles", modeled.total_cpu_cycles)
+        .add("cpu_digest", hex(modeled.cpu_digest))
+        .add("exec_digest", hex(modeled.exec_digest))
+        .add("la_digest", hex(modeled.la_digest));
 
-    report.reference_p50_ms = p50(report.reference_wall_ms);
-    report.batched_p50_ms = p50(report.batched_wall_ms);
-    if (report.reference_p50_ms > 0.0) {
-        report.reference_cases_per_sec =
-            kCases * 1000.0 / report.reference_p50_ms;
-    }
-    if (report.batched_p50_ms > 0.0) {
-        report.batched_cases_per_sec =
-            kCases * 1000.0 / report.batched_p50_ms;
-    }
-    if (report.reference_cases_per_sec > 0.0) {
-        report.speedup_vs_reference = report.batched_cases_per_sec /
-                                      report.reference_cases_per_sec;
-    }
-
-    if (!options.json_path.empty()) {
-        std::ofstream out(options.json_path);
-        out << report.toJson();
-        if (!out) {
-            fatal("cannot write bench report to ", options.json_path);
-        }
-    }
+    const double reference_p50_ms = p50(reference_wall_ms);
+    const double batched_p50_ms = p50(batched_wall_ms);
+    const double reference_cases_per_sec =
+        reference_p50_ms > 0.0 ? kCases * 1000.0 / reference_p50_ms : 0.0;
+    const double batched_cases_per_sec =
+        batched_p50_ms > 0.0 ? kCases * 1000.0 / batched_p50_ms : 0.0;
+    report.wall.add("reference_p50_ms", reference_p50_ms)
+        .add("batched_p50_ms", batched_p50_ms)
+        .add("reference_cases_per_sec", reference_cases_per_sec)
+        .add("batched_cases_per_sec", batched_cases_per_sec)
+        .add("speedup_vs_reference",
+             reference_cases_per_sec > 0.0
+                 ? batched_cases_per_sec / reference_cases_per_sec
+                 : 0.0);
     return report;
 }
 

@@ -19,61 +19,29 @@
  * every cycle count, architectural result, and LA charge in case order)
  * is asserted identical between the two engines inside the run, and is
  * byte-identical for any --threads and any --batch; wall-clock numbers
- * and the speedup go to stderr and the JSON only.  The JSON
- * (BENCH_simulation.json, schema veal-sim-bench-v1) pins the batching
- * win in the repo: CI fails if the committed modeled fields drift or
- * the committed speedup falls below the 4x floor.
+ * and the speedup go to stderr and the envelope only.
+ * tests/bench_golden_test.cc pins the modeled block, and CI holds the
+ * batched engine to at least 4x the reference.
  */
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "bench/throughput.h"
+#include "bench/report.h"
 
 namespace veal::bench {
 
-/** Everything one --mode simulation invocation measured. */
-struct SimulationReport {
-    std::string commit;
-    int runs = 0;
-    int threads = 0;
-    int batch = 0;
-
-    /** Campaign cases per pass (fixed, seed-derived). */
-    int cases = 0;
-    /** Interpreter trip count per case. */
-    std::int64_t iterations = 0;
-
-    // --- Modeled fields: byte-identical for any --threads / --batch,
-    // and asserted identical between the two engines.
-    std::int64_t translated_cases = 0;  ///< Cases with LA-charge lanes.
-    std::int64_t total_cpu_cycles = 0;  ///< Sum of modeled total_cycles.
-    std::string cpu_digest;    ///< FNV over (total_cycles, cpi bits).
-    std::string exec_digest;   ///< FNV over live-outs + memory images.
-    std::string la_digest;     ///< FNV over per-phase LA charges.
-
-    // --- Wall clock (stderr/JSON only; never deterministic).
-    std::vector<double> reference_wall_ms;
-    std::vector<double> batched_wall_ms;
-    double reference_p50_ms = 0.0;
-    double batched_p50_ms = 0.0;
-    double reference_cases_per_sec = 0.0;
-    double batched_cases_per_sec = 0.0;
-    /** batched_cases_per_sec / reference_cases_per_sec. */
-    double speedup_vs_reference = 0.0;
-
-    /** The veal-sim-bench-v1 JSON rendering of this report. */
-    std::string toJson() const;
-};
-
 /**
- * Run the measurement: @p options.runs timed passes of the case set
- * through each engine (reference first, then batched).  Honours
- * options.threads, options.batch, options.commit, and options.json_path
- * (fatal on I/O error); per-pass timing prints to stderr only.
+ * Run the measurement: options.runs timed passes of the case set
+ * through each engine (reference first, then batched) on an
+ * options.threads-wide pool, options.batch lanes per batched call.
+ *
+ * Modeled block, in order: cases, iterations, translated_cases (cases
+ * with LA-charge lanes), total_cpu_cycles, and the FNV digests
+ * cpu_digest (total cycles and cpi bits), exec_digest (live-outs and
+ * memory images) and la_digest (per-phase LA charges).  Wall block:
+ * reference_p50_ms, batched_p50_ms, reference_cases_per_sec,
+ * batched_cases_per_sec and speedup_vs_reference.  Per-pass timing
+ * prints to stderr.
  */
-SimulationReport runSimulationThroughput(const ThroughputOptions& options);
+ModeReport runSimulationThroughput(const ModeOptions& options);
 
 }  // namespace veal::bench
 

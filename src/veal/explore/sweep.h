@@ -129,8 +129,7 @@ class SweepRunner {
 
     /**
      * Mean over the suite (in benchmark order) of the whole-application
-     * speedup on each configuration: the parallel port of
-     * bench::meanSpeedup, one value per entry of @p configs.
+     * speedup on each configuration, one value per entry of @p configs.
      */
     std::vector<double> meanSpeedup(
         const std::vector<LaConfig>& configs, TranslationMode mode,

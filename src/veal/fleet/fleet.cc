@@ -5,21 +5,17 @@
 
 #include "veal/explore/sweep.h"
 #include "veal/support/assert.h"
+#include "veal/support/fnv.h"
 
 namespace veal::fleet {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
+/** Fold the eight bytes of @p value into @p digest in place. */
 void
 fold(std::uint64_t& digest, std::uint64_t value)
 {
-    for (int byte = 0; byte < 8; ++byte) {
-        digest ^= (value >> (byte * 8)) & 0xffu;
-        digest *= kFnvPrime;
-    }
+    digest = fnvFold64(digest, value);
 }
 
 void
@@ -188,7 +184,7 @@ FleetConfig::parse(const std::string& spec, int capacity)
 std::uint64_t
 fleetSignature(const FleetConfig& config)
 {
-    std::uint64_t digest = kFnvOffset;
+    std::uint64_t digest = kFnvOffsetBasis;
     fold(digest, static_cast<std::uint64_t>(config.backends.size()));
     for (const Backend& backend : config.backends)
         foldLa(digest, backend.la);

@@ -7,46 +7,34 @@
 
 #include "veal/fault/fault_plan.h"
 #include "veal/support/assert.h"
+#include "veal/support/fnv.h"
 #include "veal/support/rng.h"
 
 namespace veal {
 
 namespace {
 
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/** FNV-1a fold of one 64-bit value, byte by byte. */
-std::uint64_t
-fold(std::uint64_t digest, std::uint64_t value)
-{
-    for (int byte = 0; byte < 8; ++byte) {
-        digest ^= (value >> (byte * 8)) & 0xffull;
-        digest *= kFnvPrime;
-    }
-    return digest;
-}
-
 /** Fold every field of @p outcome into @p digest (sequence-ordered). */
 std::uint64_t
 foldOutcome(std::uint64_t digest, const RequestOutcome& outcome)
 {
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.sequence));
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.tenant));
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.admission));
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.cache));
-    digest = fold(digest, outcome.translated_ok ? 1 : 0);
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.reject));
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.rung));
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.ii));
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.stage_count));
-    digest = fold(digest,
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.sequence));
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.tenant));
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.admission));
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.cache));
+    digest = fnvFold64(digest, outcome.translated_ok ? 1 : 0);
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.reject));
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.rung));
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.ii));
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.stage_count));
+    digest = fnvFold64(digest,
                   static_cast<std::uint64_t>(outcome.translation_cycles));
-    digest = fold(digest, static_cast<std::uint64_t>(outcome.cpu_cycles));
-    digest = fold(digest,
+    digest = fnvFold64(digest, static_cast<std::uint64_t>(outcome.cpu_cycles));
+    digest = fnvFold64(digest,
                   static_cast<std::uint64_t>(outcome.la_first_cycles));
-    digest = fold(digest,
+    digest = fnvFold64(digest,
                   static_cast<std::uint64_t>(outcome.la_warm_cycles));
-    digest = fold(digest, outcome.la_wins ? 1 : 0);
+    digest = fnvFold64(digest, outcome.la_wins ? 1 : 0);
     return digest;
 }
 

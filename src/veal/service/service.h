@@ -61,6 +61,7 @@
 #include "veal/sim/batch.h"
 #include "veal/sim/tlb_model.h"
 #include "veal/support/bounded_queue.h"
+#include "veal/support/fnv.h"
 #include "veal/support/metrics/metrics.h"
 #include "veal/support/thread_pool.h"
 #include "veal/vm/code_cache.h"
@@ -284,7 +285,7 @@ struct TenantReport : RequestCounts {
      * order -- the per-tenant results digest of the determinism
      * contract.  Byte-identical at any shard/thread/batch count.
      */
-    std::uint64_t digest = 0xcbf29ce484222325ull;
+    std::uint64_t digest = kFnvOffsetBasis;
 };
 
 /** Whole-service accumulated results. */

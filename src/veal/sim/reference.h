@@ -18,9 +18,8 @@
  * simulation run both paths on the same cases and assert equality.
  *
  * Nothing here is reachable from the VM or the campaign drivers; it
- * exists only as an oracle and as the baseline the committed
- * BENCH_simulation.json speedup is measured against.  Do not optimise
- * this file.
+ * exists only as an oracle and as the baseline veal-bench's simulation
+ * speedup is measured against.  Do not optimise this file.
  */
 
 #include <cstdint>

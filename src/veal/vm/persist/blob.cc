@@ -1,25 +1,11 @@
 #include "veal/vm/persist/blob.h"
 
 #include "veal/support/assert.h"
+#include "veal/support/fnv.h"
 
 namespace veal::persist {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-/** FNV-1a over a byte range. */
-std::uint64_t
-fnv1a(const std::uint8_t* data, std::size_t size)
-{
-    std::uint64_t digest = kFnvOffset;
-    for (std::size_t i = 0; i < size; ++i) {
-        digest ^= data[i];
-        digest *= kFnvPrime;
-    }
-    return digest;
-}
 
 void
 appendU32(std::vector<std::uint8_t>& out, std::uint32_t value)
@@ -260,7 +246,7 @@ encodeBlob(const PersistedImage& image)
     appendU32(blob, kBlobMagic);
     appendU32(blob,
               s.fleet.has_value() ? kBlobVersionFleet : kBlobVersion);
-    appendU64(blob, fnv1a(payload.data(), payload.size()));
+    appendU64(blob, fnvBytes(payload.data(), payload.size()));
     blob.insert(blob.end(), payload.begin(), payload.end());
     return blob;
 }
@@ -279,7 +265,7 @@ decodeBlob(const std::uint8_t* data, std::size_t size)
     const std::uint64_t expected = header.u64();
     const std::uint8_t* payload = data + 16;
     const std::size_t payload_size = size - 16;
-    if (fnv1a(payload, payload_size) != expected)
+    if (fnvBytes(payload, payload_size) != expected)
         return BlobError::kChecksum;
 
     Reader in(payload, payload_size);

@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 
+#include "veal/support/fnv.h"
 #include "veal/support/parse.h"
 
 namespace veal::persist {
@@ -12,18 +13,11 @@ namespace {
 
 constexpr const char* kManifestLogName = "MANIFEST.log";
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
 std::uint32_t
 lineCrc(const std::string& body)
 {
-    std::uint64_t digest = kFnvOffset;
-    for (const char c : body) {
-        digest ^= static_cast<std::uint8_t>(c);
-        digest *= kFnvPrime;
-    }
-    return static_cast<std::uint32_t>(digest & 0xffffffffu);
+    return static_cast<std::uint32_t>(fnvBytes(body.data(), body.size()) &
+                                      0xffffffffu);
 }
 
 std::string

@@ -5,25 +5,12 @@
 #include <limits>
 #include <sstream>
 
+#include "veal/support/fnv.h"
 #include "veal/support/parse.h"
 
 namespace veal::persist {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
-
-std::uint64_t
-fnv1a(const std::uint8_t* data, std::size_t size)
-{
-    std::uint64_t digest = kFnvOffset;
-    for (std::size_t i = 0; i < size; ++i) {
-        digest ^= data[i];
-        digest *= kFnvPrime;
-    }
-    return digest;
-}
 
 void
 putU32(std::vector<std::uint8_t>& out, std::uint32_t value)
@@ -67,7 +54,7 @@ encodeSegmentRecord(const std::vector<std::uint8_t>& payload)
                    payload.size());
     putU32(record, kSegmentRecordMagic);
     putU32(record, static_cast<std::uint32_t>(payload.size()));
-    putU64(record, fnv1a(payload.data(), payload.size()));
+    putU64(record, fnvBytes(payload.data(), payload.size()));
     record.insert(record.end(), payload.begin(), payload.end());
     return record;
 }
@@ -170,7 +157,7 @@ SegmentLog::read(const RecordRef& ref)
     const std::uint64_t checksum = getU64(data + 8);
     std::vector<std::uint8_t> payload(
         bytes->begin() + kSegmentRecordHeader, bytes->end());
-    if (fnv1a(payload.data(), payload.size()) != checksum)
+    if (fnvBytes(payload.data(), payload.size()) != checksum)
         return RecordError::kCorrupt;
     return payload;
 }
@@ -229,7 +216,7 @@ SegmentLog::scanFile(const std::string& path)
             break;  // Payload runs past EOF: torn tail.
         const std::uint64_t checksum = getU64(data + offset + 8);
         const std::uint8_t* payload = data + offset + kSegmentRecordHeader;
-        if (fnv1a(payload, static_cast<std::size_t>(length)) == checksum) {
+        if (fnvBytes(payload, static_cast<std::size_t>(length)) == checksum) {
             ScannedRecord record;
             record.offset = offset;
             record.payload.assign(payload, payload + length);

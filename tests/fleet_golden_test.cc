@@ -20,9 +20,7 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -31,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/golden.h"
 #include "veal/arch/cpu_config.h"
 #include "veal/fleet/fleet.h"
 #include "veal/fuzz/corpus.h"
@@ -80,12 +79,6 @@ snapshotLine(const std::string& fleet_name,
     return os.str();
 }
 
-std::string
-goldenPath()
-{
-    return std::string(VEAL_GOLDEN_DIR) + "/fleet_placements.golden";
-}
-
 TEST(FleetGolden, CorpusPlacementsMatchSnapshots)
 {
     const auto files = listCorpusFiles(VEAL_CORPUS_DIR);
@@ -110,24 +103,7 @@ TEST(FleetGolden, CorpusPlacementsMatchSnapshots)
         }
     }
 
-    if (std::getenv("VEAL_UPDATE_GOLDEN") != nullptr) {
-        std::filesystem::create_directories(VEAL_GOLDEN_DIR);
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        out << actual.str();
-        ASSERT_TRUE(out.good()) << "failed writing " << goldenPath();
-        GTEST_SKIP() << "golden refreshed: " << goldenPath();
-    }
-
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in.good())
-        << "missing " << goldenPath()
-        << "; run with VEAL_UPDATE_GOLDEN=1 to create it";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-
-    EXPECT_EQ(actual.str(), expected.str())
-        << "fleet placements drifted; if the change is intentional, "
-           "refresh with VEAL_UPDATE_GOLDEN=1 and review the diff";
+    VEAL_EXPECT_GOLDEN(actual.str(), "fleet_placements.golden", "fleet placements");
 }
 
 TEST(FleetGolden, SnapshotsAreDeterministic)

@@ -18,9 +18,7 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <variant>
@@ -28,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/golden.h"
 #include "veal/fuzz/corpus.h"
 #include "veal/vm/translator.h"
 
@@ -97,12 +96,6 @@ snapshotLine(const std::string& stem, const CorpusCase& repro)
     return os.str();
 }
 
-std::string
-goldenPath()
-{
-    return std::string(VEAL_GOLDEN_DIR) + "/schedules.golden";
-}
-
 TEST(SchedGolden, CorpusSchedulesMatchSnapshots)
 {
     const auto files = listCorpusFiles(VEAL_CORPUS_DIR);
@@ -122,24 +115,7 @@ TEST(SchedGolden, CorpusSchedulesMatchSnapshots)
     for (const auto& line : lines)
         actual << line << "\n";
 
-    if (std::getenv("VEAL_UPDATE_GOLDEN") != nullptr) {
-        std::filesystem::create_directories(VEAL_GOLDEN_DIR);
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        out << actual.str();
-        ASSERT_TRUE(out.good()) << "failed writing " << goldenPath();
-        GTEST_SKIP() << "golden refreshed: " << goldenPath();
-    }
-
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in.good())
-        << "missing " << goldenPath()
-        << "; run with VEAL_UPDATE_GOLDEN=1 to create it";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-
-    EXPECT_EQ(actual.str(), expected.str())
-        << "schedule snapshots drifted; if the change is intentional, "
-           "refresh with VEAL_UPDATE_GOLDEN=1 and review the diff";
+    VEAL_EXPECT_GOLDEN(actual.str(), "schedules.golden", "schedule snapshots");
 }
 
 TEST(SchedGolden, SnapshotsAreDeterministic)

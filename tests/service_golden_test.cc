@@ -19,9 +19,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -29,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/testing/golden.h"
 #include "veal/fleet/fleet.h"
 #include "veal/service/service.h"
 #include "veal/service/trace.h"
@@ -159,12 +158,6 @@ class TempStore {
     fs::path path_;
 };
 
-std::string
-goldenPath()
-{
-    return std::string(VEAL_GOLDEN_DIR) + "/service_runs.golden";
-}
-
 TEST(ServiceGolden, RunsMatchSnapshots)
 {
     const ServiceTrace trace = ciTrace();
@@ -249,24 +242,7 @@ TEST(ServiceGolden, RunsMatchSnapshots)
         line("store capacity=8 warm fault-seed=5", bounded, trace);
     }
 
-    if (std::getenv("VEAL_UPDATE_GOLDEN") != nullptr) {
-        std::filesystem::create_directories(VEAL_GOLDEN_DIR);
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        out << actual.str();
-        ASSERT_TRUE(out.good()) << "failed writing " << goldenPath();
-        GTEST_SKIP() << "golden refreshed: " << goldenPath();
-    }
-
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in.good())
-        << "missing " << goldenPath()
-        << "; run with VEAL_UPDATE_GOLDEN=1 to create it";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-
-    EXPECT_EQ(actual.str(), expected.str())
-        << "service outputs drifted; if the change is intentional, "
-           "refresh with VEAL_UPDATE_GOLDEN=1 and review the diff";
+    VEAL_EXPECT_GOLDEN(actual.str(), "service_runs.golden", "service outputs");
 }
 
 }  // namespace

@@ -13,24 +13,21 @@
 #include <string>
 #include <vector>
 
+#include "veal/support/fnv.h"
+
 namespace veal::testing {
 
 /** FNV-1a over 64-bit values (byte by byte) and strings. */
 class Fnv {
   public:
-    void add(std::uint64_t value)
-    {
-        for (int byte = 0; byte < 8; ++byte)
-            mix(static_cast<unsigned char>(value >> (8 * byte)));
-    }
+    void add(std::uint64_t value) { hash_ = fnvFold64(hash_, value); }
     void add(std::int64_t value) { add(static_cast<std::uint64_t>(value)); }
     void add(int value) { add(static_cast<std::int64_t>(value)); }
     void add(bool value) { add(static_cast<std::int64_t>(value)); }
     void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
     void add(const std::string& text)
     {
-        for (const char c : text)
-            mix(static_cast<unsigned char>(c));
+        hash_ = fnvBytes(text.data(), text.size(), hash_);
         add(static_cast<std::uint64_t>(text.size()));
     }
     void add(const std::vector<int>& values)
@@ -49,13 +46,7 @@ class Fnv {
     }
 
   private:
-    void mix(unsigned char byte)
-    {
-        hash_ ^= byte;
-        hash_ *= 0x100000001b3ull;
-    }
-
-    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+    std::uint64_t hash_ = kFnvOffsetBasis;
 };
 
 }  // namespace veal::testing

@@ -25,9 +25,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -36,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/testing/fnv.h"
+#include "tests/testing/golden.h"
 #include "veal/arch/cpu_config.h"
 #include "veal/arch/la_config.h"
 #include "veal/explore/sweep.h"
@@ -205,24 +203,6 @@ goldenText(const std::vector<Application>& apps, Path path,
     return text.str();
 }
 
-std::string
-goldenPath()
-{
-    return std::string(VEAL_GOLDEN_DIR) + "/front_end.golden";
-}
-
-std::string
-expectedGolden()
-{
-    std::ifstream in(goldenPath());
-    EXPECT_TRUE(in.good())
-        << "missing " << goldenPath()
-        << "; run with VEAL_UPDATE_GOLDEN=1 to create it";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-    return expected.str();
-}
-
 TEST(FrontEndGolden, PlainPathMatchesSnapshot)
 {
     std::set<TranslationReject> rejects;
@@ -239,21 +219,13 @@ TEST(FrontEndGolden, PlainPathMatchesSnapshot)
         EXPECT_EQ(rejects.count(reject), 1u) << toString(reject);
     }
 
-    if (std::getenv("VEAL_UPDATE_GOLDEN") != nullptr) {
-        std::filesystem::create_directories(VEAL_GOLDEN_DIR);
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        out << actual;
-        ASSERT_TRUE(out.good()) << "failed writing " << goldenPath();
-        GTEST_SKIP() << "golden refreshed: " << goldenPath();
-    }
-    EXPECT_EQ(actual, expectedGolden())
-        << "translations drifted; if the change is intentional, refresh "
-           "with VEAL_UPDATE_GOLDEN=1 and review the diff";
+    VEAL_EXPECT_GOLDEN(actual, "front_end.golden", "translations");
 }
 
 TEST(FrontEndGolden, SlotPathMatchesSnapshot)
 {
-    EXPECT_EQ(goldenText(suiteApps(), Path::kSlot), expectedGolden())
+    EXPECT_EQ(goldenText(suiteApps(), Path::kSlot),
+              testing::readGolden("front_end.golden"))
         << "a translation on a shared front end differs from a fresh one";
 }
 

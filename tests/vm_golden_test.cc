@@ -26,9 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "tests/testing/fnv.h"
+#include "tests/testing/golden.h"
 #include "veal/arch/cpu_config.h"
 #include "veal/arch/la_config.h"
 #include "veal/fault/campaign.h"
@@ -268,12 +266,6 @@ faultLine(const std::string& label, const Application& app,
     return os.str();
 }
 
-std::string
-goldenPath()
-{
-    return std::string(VEAL_GOLDEN_DIR) + "/vm_runs.golden";
-}
-
 TEST(VmGolden, RunsMatchSnapshots)
 {
     std::ostringstream actual;
@@ -309,24 +301,7 @@ TEST(VmGolden, RunsMatchSnapshots)
         }
     }
 
-    if (std::getenv("VEAL_UPDATE_GOLDEN") != nullptr) {
-        std::filesystem::create_directories(VEAL_GOLDEN_DIR);
-        std::ofstream out(goldenPath(), std::ios::trunc);
-        out << actual.str();
-        ASSERT_TRUE(out.good()) << "failed writing " << goldenPath();
-        GTEST_SKIP() << "golden refreshed: " << goldenPath();
-    }
-
-    std::ifstream in(goldenPath());
-    ASSERT_TRUE(in.good())
-        << "missing " << goldenPath()
-        << "; run with VEAL_UPDATE_GOLDEN=1 to create it";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-
-    EXPECT_EQ(actual.str(), expected.str())
-        << "VM outputs drifted; if the change is intentional, refresh "
-           "with VEAL_UPDATE_GOLDEN=1 and review the diff";
+    VEAL_EXPECT_GOLDEN(actual.str(), "vm_runs.golden", "VM outputs");
 }
 
 }  // namespace

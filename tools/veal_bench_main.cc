@@ -1,121 +1,46 @@
 /**
- * veal-bench: the translation-throughput driver.
+ * veal-bench: the simulation, persist and fleet studies.
  *
- * Pushes the full workload suite through the VM --runs times on a
- * --threads-wide pool, reports translated-loops/sec and modeled
- * cycles-per-translated-op from the metrics registry, and emits the
- * veal-bench-v1 BENCH_translation.json entry that accumulates the
- * repo's performance trajectory (see README "Benchmarking the
- * translator").  --baseline-json embeds a previous entry plus the
- * measured speedup, so regressions are a number, not a feeling.
+ * stdout carries only the mode's modeled block, a JSON object that is
+ * byte-identical for any --threads, --batch and --runs, so CI can cmp
+ * it across shapes.  Wall-clock lines go to stderr, and --json writes
+ * both blocks inside the veal-bench-v2 envelope.
  *
- * stdout carries only modeled (deterministic) quantities; wall-clock
- * throughput lines go to stderr, and the --metrics-json snapshot is
- * byte-identical for any --threads at a fixed --runs.
+ * Exit status: 0 on success, 1 when the envelope cannot be written, 2
+ * on bad usage.
  */
 
 #include <cstdio>
+#include <iostream>
+#include <string>
 
+#include "bench/cli.h"
 #include "bench/fleet.h"
 #include "bench/persist.h"
 #include "bench/simulation.h"
-#include "bench/throughput.h"
+#include "veal/support/thread_pool.h"
 
 namespace {
 
-int
-runSimulationMode(const veal::bench::ThroughputOptions& options)
-{
-    const auto report = veal::bench::runSimulationThroughput(options);
+namespace cli = veal::bench::cli;
 
-    std::printf("veal-bench: simulation, %d cases/pass, %lld translated, "
-                "%lld iterations/interpretation\n",
-                report.cases,
-                static_cast<long long>(report.translated_cases),
-                static_cast<long long>(report.iterations));
-    std::printf("veal-bench: %lld modeled cpu cycles, digests cpu=%s "
-                "exec=%s la=%s\n",
-                static_cast<long long>(report.total_cpu_cycles),
-                report.cpu_digest.c_str(), report.exec_digest.c_str(),
-                report.la_digest.c_str());
-
-    std::fprintf(stderr,
-                 "veal-bench: reference %.1f cases/s, batched %.1f "
-                 "cases/s, %.2fx (batch %d, %d runs, %d threads)\n",
-                 report.reference_cases_per_sec,
-                 report.batched_cases_per_sec,
-                 report.speedup_vs_reference, report.batch, report.runs,
-                 report.threads);
-    return 0;
-}
+constexpr const char* kTool = "veal-bench";
 
 int
-runPersistMode(const veal::bench::ThroughputOptions& options)
+usage()
 {
-    const auto report = veal::bench::runPersistBench(options);
-
-    std::printf("veal-bench: persist, %d requests, %lld keys saved cold, "
-                "%lld requests served from the store warm\n",
-                report.requests,
-                static_cast<long long>(report.cold_persisted),
-                static_cast<long long>(report.warm_persisted));
-    std::printf("veal-bench: translation cycles cold=%lld warm=%lld "
-                "(ratio %lldx), warm digest %s\n",
-                static_cast<long long>(report.cold_translation_cycles),
-                static_cast<long long>(report.warm_translation_cycles),
-                static_cast<long long>(report.translation_cycle_ratio),
-                report.warm_report_digest.c_str());
-
-    std::printf("veal-bench: lifecycle, %lld entries recovered, churn x%lld "
-                "left the log at %lld bytes, %lld compactions reclaimed "
-                "%lld bytes (%lld left)\n",
-                static_cast<long long>(report.recovered_entries),
-                static_cast<long long>(report.churn_rounds),
-                static_cast<long long>(report.churn_log_bytes),
-                static_cast<long long>(report.compactions),
-                static_cast<long long>(report.compaction_reclaimed_bytes),
-                static_cast<long long>(report.compacted_log_bytes));
-
-    std::fprintf(stderr,
-                 "veal-bench: cold p50 %.2f ms, warm p50 %.2f ms, "
-                 "recovery p50 %.2f ms (%d runs)\n",
-                 report.cold_p50_ms, report.warm_p50_ms,
-                 report.recover_p50_ms, report.runs);
-    return 0;
-}
-
-int
-runFleetMode(const veal::bench::ThroughputOptions& options)
-{
-    const auto report = veal::bench::runFleetBench(options);
-
-    std::printf("veal-bench: fleet '%s', %lld pieces, %lld scored "
-                "cells, %lld cpu-win pieces\n",
-                report.fleet.c_str(),
-                static_cast<long long>(report.pieces),
-                static_cast<long long>(report.scored_cells),
-                static_cast<long long>(report.cpu_win_pieces));
-    std::printf("veal-bench: steady cycles cpu=%lld baseline=%lld "
-                "fleet=%lld, fleet speedup %lld.%03lldx vs the single "
-                "design point\n",
-                static_cast<long long>(report.cpu_steady_cycles),
-                static_cast<long long>(report.baseline_steady_cycles),
-                static_cast<long long>(report.fleet_steady_cycles),
-                static_cast<long long>(report.speedup_milli / 1000),
-                static_cast<long long>(report.speedup_milli % 1000));
-    for (const auto& backend : report.backends) {
-        std::printf("veal-bench: backend %-12s placed %lld pieces "
-                    "(%lld invocations, %lld steady cycles)\n",
-                    backend.name.c_str(),
-                    static_cast<long long>(backend.placed_pieces),
-                    static_cast<long long>(backend.placed_invocations),
-                    static_cast<long long>(backend.steady_cycles));
-    }
-
-    std::fprintf(stderr, "veal-bench: fleet scoring p50 %.2f ms "
-                         "(%d runs, %d threads)\n",
-                 report.p50_wall_ms, report.runs, report.threads);
-    return 0;
+    std::cerr <<
+        "usage: veal-bench --mode NAME [options]\n"
+        "  --mode NAME   simulation (batched vs reference simulation),\n"
+        "                persist (cold vs warm start over the store) or\n"
+        "                fleet (the fleet vs the single design point)\n"
+        "  --runs N      timed passes (default 5)\n"
+        "  --threads N   worker threads (default: all hardware threads)\n"
+        "  --batch N     lanes per batch-engine call in simulation mode\n"
+        "                (default 64; never affects modeled output)\n"
+        "  --json FILE   write the veal-bench-v2 envelope\n"
+        "  --commit SHA  commit id recorded in the envelope\n";
+    return 2;
 }
 
 }  // namespace
@@ -123,39 +48,62 @@ runFleetMode(const veal::bench::ThroughputOptions& options)
 int
 main(int argc, char** argv)
 {
-    using namespace veal;
-    const auto options = bench::parseThroughputCli(argc, argv);
-    if (options.mode == "simulation")
-        return runSimulationMode(options);
-    if (options.mode == "persist")
-        return runPersistMode(options);
-    if (options.mode == "fleet")
-        return runFleetMode(options);
-    const auto report = bench::runTranslationThroughput(options);
+    using namespace veal::bench;
+    ModeOptions options;
+    options.threads = veal::ThreadPool::defaultThreads();
 
-    std::printf("veal-bench: %s suite, %lld pieces/run, %lld translated "
-                "loops/run, %lld loop ops/run\n",
-                report.suite.c_str(),
-                static_cast<long long>(report.pieces_per_run),
-                static_cast<long long>(report.translated_loops_per_run),
-                static_cast<long long>(report.ops_per_run));
-    std::printf("veal-bench: %lld modeled phase cycles/run, %.3f "
-                "cycles per loop op\n",
-                static_cast<long long>(report.phase_cycles_per_run),
-                report.cycles_per_translated_op);
-
-    std::fprintf(stderr,
-                 "veal-bench: %.1f translated loops/s, %.0f ops/s, "
-                 "p50 %.2f ms, p95 %.2f ms (%d runs, %d threads)\n",
-                 report.translated_loops_per_sec, report.ops_per_sec,
-                 report.p50_wall_ms, report.p95_wall_ms, report.runs,
-                 report.threads);
-    if (report.speedup_vs_baseline > 0.0) {
-        std::fprintf(stderr,
-                     "veal-bench: %.2fx vs baseline %s (%.1f loops/s)\n",
-                     report.speedup_vs_baseline,
-                     report.baseline_commit.c_str(),
-                     report.baseline_loops_per_sec);
+    const auto next_value = [&](int& i) -> const char* {
+        return cli::requireValue(kTool, argc, argv, &i, usage);
+    };
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--mode") {
+            options.mode = next_value(i);
+        } else if (arg == "--runs") {
+            options.runs = cli::parseCount(kTool, arg, next_value(i),
+                                           usage);
+        } else if (arg == "--threads") {
+            options.threads = cli::parseCount(kTool, arg, next_value(i),
+                                              usage);
+        } else if (arg == "--batch") {
+            options.batch = cli::parseCount(kTool, arg, next_value(i),
+                                            usage);
+        } else if (arg == "--json") {
+            options.json_path = next_value(i);
+        } else if (arg == "--commit") {
+            options.commit = next_value(i);
+        } else if (arg == "--help" || arg == "-h") {
+            usage();
+            return 0;
+        } else {
+            cli::usageError(kTool, "unknown option '" + arg + "'", usage);
+        }
     }
+    if (options.mode.empty())
+        cli::usageError(kTool, "--mode is required", usage);
+    if (options.mode != "simulation" && options.mode != "persist" &&
+        options.mode != "fleet") {
+        cli::usageError(kTool,
+                        "--mode wants simulation, persist or fleet, got '" +
+                            options.mode + "'",
+                        usage);
+    }
+    if (options.runs < 1 || options.threads < 1 || options.batch < 1) {
+        cli::usageError(kTool,
+                        "--runs, --threads and --batch must be positive",
+                        usage);
+    }
+
+    const ModeReport report = options.mode == "simulation"
+                                  ? runSimulationThroughput(options)
+                              : options.mode == "persist"
+                                  ? runPersistBench(options)
+                                  : runFleetBench(options);
+    std::printf("%s\n", report.modeled.render().c_str());
+    std::fprintf(stderr, "veal-bench: %s wall %s (%d runs, %d threads)\n",
+                 options.mode.c_str(), report.wall.renderLine().c_str(),
+                 options.runs, options.threads);
+    if (!options.json_path.empty())
+        writeEnvelope(options, report);
     return 0;
 }
