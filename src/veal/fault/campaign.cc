@@ -65,18 +65,6 @@ functionallyExecutable(const Loop& loop, const LoopAnalysis& analysis)
            symbols_ok(analysis.store_streams);
 }
 
-/** Coarse first difference; the gate only needs exact/not-exact. */
-std::string
-diffResults(const ExecutionResult& reference,
-            const ExecutionResult& accelerated)
-{
-    if (reference.live_outs != accelerated.live_outs)
-        return "live-outs differ from the interpreter";
-    if (reference.memory != accelerated.memory)
-        return "memory image differs from the interpreter";
-    return {};
-}
-
 FaultCaseResult
 runOneCase(int plan_index, const FaultCampaignOptions& options,
            const std::vector<std::pair<std::string, Application>>& apps,
@@ -185,12 +173,11 @@ runOneCase(int plan_index, const FaultCampaignOptions& options,
                     d.reference = interpretLoop(*piece.loop, d.input);
                 const ExecutionResult accelerated = executeOnAccelerator(
                     *piece.loop, piece.translation, d.input);
-                const std::string diff =
-                    diffResults(d.reference, accelerated);
-                if (!diff.empty()) {
+                if (const auto diff =
+                        firstDifference(d.reference, accelerated)) {
                     result.diverged = true;
                     result.divergence_detail =
-                        piece.loop->name() + ": " + diff;
+                        piece.loop->name() + ": " + *diff;
                     return result;
                 }
             } catch (const PanicError& panic) {

@@ -1,7 +1,5 @@
 #include "veal/fault/fault_injector.h"
 
-#include "veal/support/metrics/metrics.h"
-
 namespace veal {
 
 FaultInjector::FaultInjector(FaultPlan plan)
@@ -67,21 +65,6 @@ FaultInjector::totalFired() const
     for (const auto count : fired_)
         total += count;
     return total;
-}
-
-void
-FaultInjector::recordInto(metrics::Registry& registry,
-                          const std::string& prefix) const
-{
-    for (int i = 0; i < kNumFaultSites; ++i) {
-        const auto site = static_cast<FaultSite>(i);
-        if (fired(site) != 0)
-            registry.add(prefix + ".fired." + toString(site),
-                         fired(site));
-        if (probes(site) != 0)
-            registry.add(prefix + ".probes." + toString(site),
-                         probes(site));
-    }
 }
 
 }  // namespace veal

@@ -26,10 +26,6 @@
 
 namespace veal {
 
-namespace metrics {
-class Registry;
-}  // namespace metrics
-
 /** Executes one FaultPlan; see file comment. */
 class FaultInjector {
   public:
@@ -68,13 +64,6 @@ class FaultInjector {
     std::int64_t totalFired() const;
 
     const FaultPlan& plan() const { return plan_; }
-
-    /**
-     * Record "<prefix>.fired.<site>" and "<prefix>.probes.<site>"
-     * counters (non-zero sites only, keeping snapshots sparse).
-     */
-    void recordInto(metrics::Registry& registry,
-                    const std::string& prefix) const;
 
   private:
     FaultPlan plan_;

@@ -57,13 +57,6 @@ makeFuzzInput(const Loop& loop, std::uint64_t seed,
     return input;
 }
 
-namespace {
-
-/**
- * First byte-level difference between the two results, or nullopt when
- * they agree exactly.  MemoryImage and the live-out map are ordered, so
- * the report is deterministic.
- */
 std::optional<std::string>
 firstDifference(const ExecutionResult& reference,
                 const ExecutionResult& accelerated)
@@ -108,8 +101,6 @@ firstDifference(const ExecutionResult& reference,
         return std::string("accelerator touched extra arrays");
     return std::nullopt;
 }
-
-}  // namespace
 
 OracleReport
 runOracle(const Loop& loop, const LaConfig& config, std::uint64_t seed,

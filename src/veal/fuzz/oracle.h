@@ -104,6 +104,15 @@ ExecutionInput makeFuzzInput(const Loop& loop, std::uint64_t seed,
                              std::int64_t iterations);
 
 /**
+ * First difference between the interpreter's and the accelerator's
+ * results -- the first live-out or memory cell that differs, by name --
+ * or nullopt when they agree exactly.  MemoryImage and the live-out
+ * map are ordered, so the text is deterministic.
+ */
+std::optional<std::string> firstDifference(
+    const ExecutionResult& reference, const ExecutionResult& accelerated);
+
+/**
  * Run the full differential pipeline for (@p loop, @p config, @p seed):
  * runOracleBatch() over that one case.
  *

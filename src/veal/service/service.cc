@@ -14,6 +14,14 @@ namespace veal {
 
 namespace {
 
+/**
+ * Canonical iteration count backend scores are computed at.  Keys are
+ * scored once (a key's per-request iteration counts vary, its placement
+ * must not), so scores use this fixed count; blobs and the fleet
+ * signature carry it.
+ */
+constexpr std::int64_t kFleetScoringIterations = 12;
+
 /** Fold every field of @p outcome into @p digest (sequence-ordered). */
 std::uint64_t
 foldOutcome(std::uint64_t digest, const RequestOutcome& outcome)
@@ -182,9 +190,7 @@ ServiceReport::render() const
 
 TranslationService::TranslationService(ServiceOptions options,
                                        metrics::Registry* registry)
-    : options_(std::move(options)),
-      registry_(registry),
-      queue_(static_cast<std::size_t>(std::max(1, options_.queue_depth)))
+    : options_(std::move(options)), registry_(registry)
 {
     if (!options_.cache_dir.empty()) {
         persistent_ = std::make_unique<persist::PersistentStore>(
@@ -200,7 +206,7 @@ TranslationService::TranslationService(ServiceOptions options,
     }
     if (options_.fleet.has_value() && options_.fleet->enabled()) {
         scorer_.emplace(*options_.fleet, options_.cpu, options_.tlb,
-                        options_.fleet_scoring_iterations);
+                        kFleetScoringIterations);
         steerer_.emplace(*options_.fleet);
         report_.fleet_enabled = true;
         report_.fleet_backends = options_.fleet->size();
@@ -225,15 +231,19 @@ TranslationService::submit(ServiceRequest request)
     log.tenant = request.tenant;
     log.key = request.key;
 
-    // Quota first (a hogging tenant is rejected even when the queue has
-    // room), then the bounded queue's own capacity.
+    // Quota first (a hogging tenant is rejected even when the tick has
+    // room), then the tick's own cap.  Every tick drains all it
+    // admitted, so this is a queue of queue_depth that shutdown closes.
+    const auto depth =
+        static_cast<std::size_t>(std::max(1, options_.queue_depth));
     if (inflight_[request.tenant] >= options_.tenant_quota) {
         log.admission = AdmissionOutcome::kQuotaExceeded;
-    } else if (!queue_.tryPush(Pending{std::move(request), sequence})) {
+    } else if (shutting_down_ || admitted_.size() >= depth) {
         log.admission = AdmissionOutcome::kQueueFull;
     } else {
         log.admission = AdmissionOutcome::kAdmitted;
         ++inflight_[log.tenant];
+        admitted_.push_back(Pending{std::move(request), sequence});
     }
     tick_log_.push_back(log);
     return log.admission;
@@ -307,14 +317,14 @@ TranslationService::drainTick()
     ++report_.ticks;
     if (registry_ != nullptr)
         registry_->add("service.ticks");
-    TickPlan tick = planTick();
+    TickPlan tick = planTick(std::exchange(admitted_, {}));
     executeTick(tick);
     priceTick(tick);
     reduceTick(tick);
 }
 
 /**
- * Plan, sequential in sequence order: pop the tick and fix the logical
+ * Plan, sequential in sequence order: take the tick and fix the logical
  * cache taxonomy (so it is shard-count invariant) and the fresh
  * translation jobs; price the baseline CPU of every request whose key's
  * warm entry holds a covering CpuProfile (the rest become CPU lanes);
@@ -322,15 +332,12 @@ TranslationService::drainTick()
  * phase never touches the tier.
  */
 TranslationService::TickPlan
-TranslationService::planTick()
+TranslationService::planTick(std::vector<Pending> admitted)
 {
     using PlanInfo = TickPlan::PlanInfo;
     TickPlan tick;
     tick.epoch = report_.ticks;
-    // The queue is FIFO and filled from the sequenced submit() path, so
-    // the pop order *is* the sequence order.
-    while (auto item = queue_.tryPop())
-        tick.admitted.push_back(std::move(*item));
+    tick.admitted = std::move(admitted);  // submit() appends in order.
     tick.plans.resize(tick.admitted.size());
     tick.cpu_cycles.assign(tick.admitted.size(), 0);
 
@@ -692,7 +699,7 @@ TranslationService::reduceTick(TickPlan& tick)
         VEAL_ASSERT(admitted_cursor < tick.admitted.size() &&
                         tick.admitted[admitted_cursor].sequence ==
                             log.sequence,
-                    "tick log / queue order diverged");
+                    "tick log / admission order diverged");
         const std::size_t i = admitted_cursor++;
         TickPlan::PlanInfo& plan = tick.plans[i];
 
@@ -943,11 +950,10 @@ TranslationService::beginShutdown()
 {
     if (shutting_down_)
         return;
+    // Every later submit() reports kQueueFull -- the normal
+    // backpressure path, so callers need no new handling -- while
+    // already-admitted work stays for the drain.
     shutting_down_ = true;
-    // A closed queue makes every later submit() report kQueueFull --
-    // the normal backpressure path, so callers need no new handling --
-    // while already-admitted work stays poppable by the drain.
-    queue_.close();
     if (registry_ != nullptr)
         registry_->add("service.shutdowns");
 }

@@ -5,10 +5,11 @@
  * @file
  * Translation-as-a-service: the sharded multi-tenant VM front end.
  *
- * N tenants submit loop-translation requests into a bounded MPMC queue
- * with admission control (reject-with-reason when the queue is full,
- * per-tenant in-flight quotas).  Each drainTick() serves everything
- * admitted since the last one in four phases over one TickPlan:
+ * N tenants submit loop-translation requests under admission control:
+ * per-tenant quotas, then a cap of queue_depth admitted requests per
+ * tick, each rejection with its reason.  Each drainTick() serves
+ * everything admitted since the last one in four phases over one
+ * TickPlan:
  *
  *  - plan (sequential): consult the shared WarmTier and, on a miss,
  *    the persistent store; verify each cached image before trusting
@@ -60,7 +61,6 @@
 #include "veal/service/trace.h"
 #include "veal/sim/batch.h"
 #include "veal/sim/tlb_model.h"
-#include "veal/support/bounded_queue.h"
 #include "veal/support/fnv.h"
 #include "veal/support/metrics/metrics.h"
 #include "veal/support/thread_pool.h"
@@ -89,7 +89,7 @@ struct ServiceOptions {
         results. */
     int batch = 16;
 
-    /** Bounded request queue depth (admission control). */
+    /** Requests admitted per tick (admission control); at least 1. */
     int queue_depth = 64;
 
     /** Per-tenant admitted-in-flight quota per tick; 0 rejects all. */
@@ -114,13 +114,6 @@ struct ServiceOptions {
      * single-design-point service.
      */
     std::optional<fleet::FleetConfig> fleet;
-
-    /**
-     * Canonical iteration count backend scores are computed at.  Keys
-     * are scored once (a key's per-request iteration counts vary, its
-     * placement must not), so scores use this fixed count.
-     */
-    std::int64_t fleet_scoring_iterations = 12;
 
     /** Baseline CPU for pricing the non-accelerated path. */
     CpuConfig cpu = CpuConfig::arm11();
@@ -168,7 +161,7 @@ struct ServiceOptions {
 /** Why a submission was (or was not) admitted. */
 enum class AdmissionOutcome : int {
     kAdmitted = 0,
-    kQueueFull,      ///< Bounded queue had no space.
+    kQueueFull,      ///< Tick already admitted queue_depth, or shutdown.
     kQuotaExceeded,  ///< Tenant hit its in-flight quota.
 };
 
@@ -345,10 +338,9 @@ std::uint64_t makeServicePlanSeed(std::uint64_t fault_seed,
 /**
  * The long-running translation front end; see file comment.
  *
- * Thread-safety: submit()/drainTick()/run() are called from one driver
- * thread (the service parallelizes internally); the bounded queue
- * itself is MPMC for callers that want concurrent submission between
- * ticks, but deterministic accounting assumes sequenced submissions.
+ * Thread-safety: none -- call submit()/drainTick()/run() from one
+ * driver thread.  The service parallelizes only its shard phase,
+ * internally.
  */
 class TranslationService {
   public:
@@ -357,8 +349,9 @@ class TranslationService {
 
     /**
      * Submit @p request: assigns the next sequence number, applies the
-     * tenant quota, then the bounded queue.  Rejected submissions are
-     * still accounted (at the next drainTick(), in sequence order).
+     * tenant quota, then the per-tick queue_depth cap.  Rejected
+     * submissions are still accounted (at the next drainTick(), in
+     * sequence order).
      */
     AdmissionOutcome submit(ServiceRequest request);
 
@@ -370,7 +363,7 @@ class TranslationService {
 
     /**
      * Replay @p trace (submit each tick, drain it) and return report().
-     * When options().stop flips mid-replay the remaining ticks are
+     * When ServiceOptions::stop flips mid-replay the remaining ticks are
      * dropped and shutdown() runs instead -- the report then covers a
      * clean prefix of the trace (every admitted request fully drained,
      * store flushed), never a half-accounted tick.
@@ -378,9 +371,8 @@ class TranslationService {
     const ServiceReport& run(const ServiceTrace& trace);
 
     /**
-     * Stop admitting: closes the bounded queue, so every later
-     * submit() reports kQueueFull while already-admitted work stays
-     * drainable.  Idempotent.
+     * Stop admitting: every later submit() reports kQueueFull while
+     * already-admitted work stays drainable.  Idempotent.
      */
     void beginShutdown();
 
@@ -396,8 +388,6 @@ class TranslationService {
     bool shuttingDown() const { return shutting_down_; }
 
     const ServiceReport& report() const { return report_; }
-
-    const ServiceOptions& options() const { return options_; }
 
     /** Outcomes of the most recent tick, in sequence order (tests). */
     const std::vector<RequestOutcome>& lastTickOutcomes() const
@@ -443,7 +433,7 @@ class TranslationService {
         passes it from phase to phase. */
     struct TickPlan;
 
-    TickPlan planTick();
+    TickPlan planTick(std::vector<Pending> admitted);
     void executeTick(TickPlan& tick);
     void priceTick(TickPlan& tick) const;
     void reduceTick(TickPlan& tick);
@@ -451,7 +441,7 @@ class TranslationService {
     ServiceOptions options_;
     metrics::Registry* registry_ = nullptr;
 
-    BoundedQueue<Pending> queue_;
+    std::vector<Pending> admitted_;  ///< This tick's, in sequence order.
     std::vector<LogEntry> tick_log_;
     std::map<int, int> inflight_;  ///< Tenant -> admitted this tick.
     std::int64_t next_sequence_ = 0;

@@ -8,37 +8,6 @@ namespace veal {
 
 namespace {
 
-/** Default sink: prefix by severity and print to stderr. */
-class StderrSink : public LogSink {
-  public:
-    void
-    write(LogLevel level, const std::string& message) override
-    {
-        const char* prefix = "info";
-        switch (level) {
-          case LogLevel::kInfo: prefix = "info"; break;
-          case LogLevel::kWarn: prefix = "warn"; break;
-          case LogLevel::kFatal: prefix = "fatal"; break;
-          case LogLevel::kPanic: prefix = "panic"; break;
-        }
-        std::fprintf(stderr, "veal: %s: %s\n", prefix, message.c_str());
-    }
-};
-
-StderrSink&
-defaultSink()
-{
-    static StderrSink sink;
-    return sink;
-}
-
-LogSink*&
-sinkSlot()
-{
-    static LogSink* sink = &defaultSink();
-    return sink;
-}
-
 /** Depth of nested ScopedPanicGuards on this thread. */
 int&
 panicGuardDepth()
@@ -49,32 +18,12 @@ panicGuardDepth()
 
 }  // namespace
 
-LogSink*
-setLogSink(LogSink* sink)
-{
-    LogSink* previous = sinkSlot();
-    sinkSlot() = (sink != nullptr) ? sink : &defaultSink();
-    return previous;
-}
-
-LogSink*
-logSink()
-{
-    return sinkSlot();
-}
-
 namespace detail {
-
-void
-logMessage(LogLevel level, const std::string& message)
-{
-    sinkSlot()->write(level, message);
-}
 
 void
 fatalExit(const std::string& message)
 {
-    sinkSlot()->write(LogLevel::kFatal, message);
+    std::fprintf(stderr, "veal: fatal: %s\n", message.c_str());
     std::exit(1);
 }
 
@@ -83,7 +32,7 @@ panicAbort(const std::string& message)
 {
     if (ScopedPanicGuard::active())
         throw PanicError(message);
-    sinkSlot()->write(LogLevel::kPanic, message);
+    std::fprintf(stderr, "veal: panic: %s\n", message.c_str());
     std::abort();
 }
 

@@ -3,10 +3,9 @@
 
 /**
  * @file
- * Status-message and error-termination helpers in the gem5 style.
+ * Error-termination helpers in the gem5 style.  Both print one line to
+ * stderr, "veal: fatal: <msg>" or "veal: panic: <msg>".
  *
- * - inform(): normal operating status, no connotation of a problem.
- * - warn():   something may be off but execution can continue.
  * - fatal():  the *user's* input/configuration makes continuing impossible;
  *             exits with status 1.
  * - panic():  an internal invariant of VEAL itself is broken; aborts.
@@ -17,32 +16,6 @@
 #include <string>
 
 namespace veal {
-
-/** Severity for log messages delivered to the global sink. */
-enum class LogLevel {
-    kInfo,
-    kWarn,
-    kFatal,
-    kPanic,
-};
-
-/**
- * Redirectable sink for log output.  Tests install a capturing sink;
- * the default prints to stderr.
- */
-class LogSink {
-  public:
-    virtual ~LogSink() = default;
-
-    /** Deliver one fully formatted message at @p level. */
-    virtual void write(LogLevel level, const std::string& message) = 0;
-};
-
-/** Replace the process-wide sink; returns the previous one (never null). */
-LogSink* setLogSink(LogSink* sink);
-
-/** The currently installed sink. */
-LogSink* logSink();
 
 /**
  * Thrown by panic() instead of aborting while a ScopedPanicGuard is
@@ -80,8 +53,6 @@ class ScopedPanicGuard {
 
 namespace detail {
 
-void logMessage(LogLevel level, const std::string& message);
-
 [[noreturn]] void fatalExit(const std::string& message);
 [[noreturn]] void panicAbort(const std::string& message);
 
@@ -100,24 +71,6 @@ composeMessage(Args&&... args)
 }
 
 }  // namespace detail
-
-/** Emit an informational message. */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    detail::logMessage(LogLevel::kInfo,
-                       detail::composeMessage(std::forward<Args>(args)...));
-}
-
-/** Emit a warning message. */
-template <typename... Args>
-void
-warn(Args&&... args)
-{
-    detail::logMessage(LogLevel::kWarn,
-                       detail::composeMessage(std::forward<Args>(args)...));
-}
 
 /** Terminate because of a user-level error (bad config, bad input). */
 template <typename... Args>

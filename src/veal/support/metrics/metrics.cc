@@ -1,11 +1,9 @@
 #include "veal/support/metrics/metrics.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 
 #include "veal/support/assert.h"
 
@@ -58,241 +56,6 @@ appendJsonString(std::string& out, const std::string& text)
     out += '"';
 }
 
-/** Everything a snapshot contains, in plain containers. */
-struct ParsedSnapshot {
-    std::map<std::string, std::int64_t> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, Histogram> histograms;
-    std::vector<TraceEvent> trace;
-    std::int64_t trace_dropped = 0;
-};
-
-/**
- * Strict recursive-descent parser for the subset of JSON that toJson()
- * emits.  Anything outside that shape (unknown keys, other value kinds)
- * fails the parse, which is what a schema check wants anyway.
- */
-class SnapshotParser {
-  public:
-    explicit SnapshotParser(const std::string& text)
-        : p_(text.data()), end_(text.data() + text.size())
-    {}
-
-    bool parse(ParsedSnapshot& out);
-
-  private:
-    void skipWs()
-    {
-        while (p_ < end_ && (*p_ == ' ' || *p_ == '\n' || *p_ == '\t' ||
-                             *p_ == '\r')) {
-            ++p_;
-        }
-    }
-
-    bool consume(char c)
-    {
-        skipWs();
-        if (p_ >= end_ || *p_ != c)
-            return false;
-        ++p_;
-        return true;
-    }
-
-    bool peekIs(char c)
-    {
-        skipWs();
-        return p_ < end_ && *p_ == c;
-    }
-
-    bool parseString(std::string& out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (p_ < end_ && *p_ != '"') {
-            char c = *p_++;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (p_ >= end_)
-                return false;
-            const char escape = *p_++;
-            switch (escape) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'n': out += '\n'; break;
-              case 't': out += '\t'; break;
-              case 'r': out += '\r'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'u': {
-                if (end_ - p_ < 4)
-                    return false;
-                char hex[5] = {p_[0], p_[1], p_[2], p_[3], '\0'};
-                char* hex_end = nullptr;
-                const long code = std::strtol(hex, &hex_end, 16);
-                if (hex_end != hex + 4 || code > 0xff)
-                    return false;  // toJson only emits \u00XX.
-                p_ += 4;
-                out += static_cast<char>(code);
-                break;
-              }
-              default: return false;
-            }
-        }
-        return consume('"');
-    }
-
-    bool parseInt(std::int64_t& out)
-    {
-        skipWs();
-        char* after = nullptr;
-        out = std::strtoll(p_, &after, 10);
-        if (after == p_)
-            return false;
-        p_ = after;
-        return true;
-    }
-
-    bool parseReal(double& out)
-    {
-        skipWs();
-        char* after = nullptr;
-        out = std::strtod(p_, &after);
-        if (after == p_)
-            return false;
-        p_ = after;
-        return true;
-    }
-
-    template <typename ParseValue>
-    bool parseObject(const ParseValue& parse_value)
-    {
-        if (!consume('{'))
-            return false;
-        if (consume('}'))
-            return true;
-        do {
-            std::string key;
-            if (!parseString(key) || !consume(':') || !parse_value(key))
-                return false;
-        } while (consume(','));
-        return consume('}');
-    }
-
-    template <typename ParseElement>
-    bool parseArray(const ParseElement& parse_element)
-    {
-        if (!consume('['))
-            return false;
-        if (consume(']'))
-            return true;
-        do {
-            if (!parse_element())
-                return false;
-        } while (consume(','));
-        return consume(']');
-    }
-
-    const char* p_;
-    const char* end_;
-};
-
-bool
-SnapshotParser::parse(ParsedSnapshot& out)
-{
-    bool schema_ok = false;
-    const bool parsed = parseObject([&](const std::string& key) {
-        if (key == "schema") {
-            std::string version;
-            if (!parseString(version))
-                return false;
-            schema_ok = version == Registry::kSchemaVersion;
-            return schema_ok;
-        }
-        if (key == "counters") {
-            return parseObject([&](const std::string& name) {
-                std::int64_t value = 0;
-                if (!parseInt(value))
-                    return false;
-                out.counters[name] = value;
-                return true;
-            });
-        }
-        if (key == "gauges") {
-            return parseObject([&](const std::string& name) {
-                double value = 0.0;
-                if (!parseReal(value))
-                    return false;
-                out.gauges[name] = value;
-                return true;
-            });
-        }
-        if (key == "histograms") {
-            return parseObject([&](const std::string& name) {
-                Histogram histogram;
-                const bool ok = parseObject([&](const std::string& field) {
-                    if (field == "bounds") {
-                        return parseArray([&] {
-                            double bound = 0.0;
-                            if (!parseReal(bound))
-                                return false;
-                            histogram.upper_bounds.push_back(bound);
-                            return true;
-                        });
-                    }
-                    if (field == "counts") {
-                        return parseArray([&] {
-                            std::int64_t count = 0;
-                            if (!parseInt(count))
-                                return false;
-                            histogram.counts.push_back(count);
-                            return true;
-                        });
-                    }
-                    if (field == "total")
-                        return parseInt(histogram.total);
-                    return false;
-                });
-                if (!ok || histogram.upper_bounds.empty() ||
-                    histogram.counts.size() !=
-                        histogram.upper_bounds.size() + 1) {
-                    return false;
-                }
-                out.histograms.emplace(name, std::move(histogram));
-                return true;
-            });
-        }
-        if (key == "trace_dropped")
-            return parseInt(out.trace_dropped);
-        if (key == "trace") {
-            return parseArray([&] {
-                TraceEvent event;
-                const bool ok = parseObject([&](const std::string& field) {
-                    if (field == "scope")
-                        return parseString(event.scope);
-                    if (field == "event")
-                        return parseString(event.event);
-                    if (field == "detail")
-                        return parseString(event.detail);
-                    if (field == "value")
-                        return parseInt(event.value);
-                    return false;
-                });
-                if (!ok)
-                    return false;
-                out.trace.push_back(std::move(event));
-                return true;
-            });
-        }
-        return false;  // Unknown key: not a snapshot we produced.
-    });
-    skipWs();
-    return parsed && schema_ok && p_ == end_;
-}
-
 }  // namespace
 
 void
@@ -334,46 +97,14 @@ Registry::counter(const std::string& name) const
 }
 
 void
-Registry::addReal(const std::string& name, double delta)
-{
-    gauges_[name] += delta;
-}
-
-double
-Registry::gauge(const std::string& name) const
-{
-    const auto it = gauges_.find(name);
-    return it == gauges_.end() ? 0.0 : it->second;
-}
-
-void
-Registry::declareHistogram(const std::string& name,
-                           std::vector<double> upper_bounds)
-{
-    VEAL_ASSERT(!upper_bounds.empty(), "histogram needs bucket bounds");
-    for (std::size_t i = 1; i < upper_bounds.size(); ++i) {
-        VEAL_ASSERT(upper_bounds[i - 1] < upper_bounds[i],
-                    "histogram bounds must ascend");
-    }
-    const auto it = histograms_.find(name);
-    if (it != histograms_.end()) {
-        VEAL_ASSERT(it->second.upper_bounds == upper_bounds,
-                    "histogram redeclared with different bounds");
-        return;
-    }
-    Histogram histogram;
-    histogram.counts.assign(upper_bounds.size() + 1, 0);
-    histogram.upper_bounds = std::move(upper_bounds);
-    histograms_.emplace(name, std::move(histogram));
-}
-
-void
 Registry::observe(const std::string& name, double value)
 {
     auto it = histograms_.find(name);
     if (it == histograms_.end()) {
-        declareHistogram(name, defaultBounds());
-        it = histograms_.find(name);
+        Histogram histogram;
+        histogram.upper_bounds = defaultBounds();
+        histogram.counts.assign(histogram.upper_bounds.size() + 1, 0);
+        it = histograms_.emplace(name, std::move(histogram)).first;
     }
     it->second.observe(value);
 }
@@ -394,21 +125,21 @@ Registry::defaultBounds()
 }
 
 void
-Registry::trace(TraceEvent event)
+Registry::trace(std::string scope, std::string event, std::string detail,
+                std::int64_t value)
+{
+    appendTrace(TraceEvent{std::move(scope), std::move(event),
+                           std::move(detail), value});
+}
+
+void
+Registry::appendTrace(TraceEvent event)
 {
     if (static_cast<int>(trace_.size()) >= trace_limit_) {
         ++trace_dropped_;
         return;
     }
     trace_.push_back(std::move(event));
-}
-
-void
-Registry::trace(std::string scope, std::string event, std::string detail,
-                std::int64_t value)
-{
-    trace(TraceEvent{std::move(scope), std::move(event), std::move(detail),
-                     value});
 }
 
 void
@@ -421,37 +152,16 @@ Registry::setTraceLimit(int limit)
 void
 Registry::merge(const Registry& other)
 {
-    merge(other, "");
-}
-
-void
-Registry::merge(const Registry& other, const std::string& prefix)
-{
     for (const auto& [name, value] : other.counters_)
-        counters_[prefix + name] += value;
-    for (const auto& [name, value] : other.gauges_)
-        gauges_[prefix + name] += value;
+        counters_[name] += value;
     for (const auto& [name, histogram] : other.histograms_) {
-        const auto it = histograms_.find(prefix + name);
-        if (it == histograms_.end()) {
-            histograms_.emplace(prefix + name, histogram);
-        } else {
+        const auto [it, inserted] = histograms_.try_emplace(name, histogram);
+        if (!inserted)
             it->second.merge(histogram);
-        }
     }
-    for (const auto& event : other.trace_) {
-        TraceEvent copy = event;
-        copy.scope = prefix + copy.scope;
-        trace(std::move(copy));
-    }
+    for (const auto& event : other.trace_)
+        appendTrace(event);
     trace_dropped_ += other.trace_dropped_;
-}
-
-bool
-Registry::empty() const
-{
-    return counters_.empty() && gauges_.empty() && histograms_.empty() &&
-           trace_.empty() && trace_dropped_ == 0;
 }
 
 std::string
@@ -474,16 +184,9 @@ Registry::toJson() const
     }
     out += counters_.empty() ? "},\n" : "\n  },\n";
 
-    out += "  \"gauges\": {";
-    separator = "";
-    for (const auto& [name, value] : gauges_) {
-        out += separator;
-        out += "\n    ";
-        appendJsonString(out, name);
-        out += ": " + formatReal(value);
-        separator = ",";
-    }
-    out += gauges_.empty() ? "},\n" : "\n  },\n";
+    // The registry holds no gauges; the veal-metrics-v1 format keeps
+    // the key.
+    out += "  \"gauges\": {},\n";
 
     out += "  \"histograms\": {";
     separator = "";
@@ -529,27 +232,6 @@ Registry::toJson() const
     out += trace_.empty() ? "]\n" : "\n  ]\n";
     out += "}\n";
     return out;
-}
-
-std::optional<Registry>
-Registry::fromJson(const std::string& text)
-{
-    ParsedSnapshot parsed;
-    SnapshotParser parser(text);
-    if (!parser.parse(parsed))
-        return std::nullopt;
-    Registry registry;
-    registry.counters_ = std::move(parsed.counters);
-    registry.gauges_ = std::move(parsed.gauges);
-    registry.histograms_ = std::move(parsed.histograms);
-    registry.trace_ = std::move(parsed.trace);
-    registry.trace_dropped_ = parsed.trace_dropped;
-    // A snapshot written by a larger-limit producer must survive the
-    // round trip, whatever its trace length.
-    registry.trace_limit_ =
-        std::max<int>(registry.trace_limit_,
-                      static_cast<int>(registry.trace_.size()));
-    return registry;
 }
 
 bool

@@ -6,10 +6,11 @@
  * The deterministic observability subsystem (DESIGN.md §10).
  *
  * Every subsystem that makes accounting-relevant decisions -- the
- * translator, the scheduler, the VM's cost model, the code cache, the
- * sweep engine, and the fuzzer -- reports into a metrics::Registry so
- * that the paper figures, the benches, and the regression tests all read
- * from one instrumented source of truth instead of ad-hoc struct fields.
+ * translator, the scheduler, the VM's cost model and code cache, the
+ * persistent store, the service, the sweep engine, and the fuzzer --
+ * reports into a metrics::Registry as the events happen, so that the
+ * paper figures, the benches, and the regression tests all read from
+ * one instrumented source of truth instead of ad-hoc struct fields.
  *
  * Determinism rules (the same contract as the sweep engine):
  *
@@ -22,15 +23,13 @@
  *    them in index order.  merge() is associative over that order, so a
  *    snapshot is byte-identical for any --threads value.
  *  - toJson() renders a versioned snapshot with sorted keys and
- *    round-trippable numbers; fromJson() parses exactly that format, and
- *    toJson(fromJson(s)) == s.
+ *    round-trippable numbers.
  */
 
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,8 +58,8 @@ struct Histogram {
 };
 
 /**
- * A registry of named counters (int64), gauges (double accumulators),
- * histograms, and a bounded decision trace.
+ * A registry of named counters (int64), histograms on one bucket set
+ * (defaultBounds()), and a bounded decision trace.
  *
  * Thread-safety: none -- confine a Registry to one thread and merge
  * per-worker registries in index order (see parallelMap usage in
@@ -75,26 +74,15 @@ class Registry {
     /** Current value; 0 when the counter was never touched. */
     std::int64_t counter(const std::string& name) const;
 
-    // --- Gauges (double accumulators; merge sums, like counters).
-    void addReal(const std::string& name, double delta);
-    double gauge(const std::string& name) const;
-
     // --- Histograms.
-    /**
-     * Create @p name with the given ascending bucket bounds.  Declaring
-     * an existing histogram is a no-op when the bounds match and a panic
-     * when they differ (merges would be meaningless).
-     */
-    void declareHistogram(const std::string& name,
-                          std::vector<double> upper_bounds);
-    /** Observe into @p name, auto-declaring with defaultBounds(). */
+    /** Observe into @p name, creating it on defaultBounds(). */
     void observe(const std::string& name, double value);
     /** Lookup; nullptr when absent. */
     const Histogram* histogram(const std::string& name) const;
+    /** The bucket bounds of every histogram. */
     static const std::vector<double>& defaultBounds();
 
     // --- Decision trace (bounded; drops are counted, never silent).
-    void trace(TraceEvent event);
     void trace(std::string scope, std::string event, std::string detail,
                std::int64_t value = 0);
     /** Maximum retained events (default 1024); excess increments traceDropped. */
@@ -105,27 +93,20 @@ class Registry {
     // --- Aggregation.
     /** Fold @p other into this registry (sums, bucket adds, trace append). */
     void merge(const Registry& other);
-    /** As merge(), with @p prefix prepended to every name and trace scope. */
-    void merge(const Registry& other, const std::string& prefix);
 
     // --- Enumeration (sorted by name; the JSON emission order).
     const std::map<std::string, std::int64_t>& counters() const
     { return counters_; }
-    const std::map<std::string, double>& gauges() const { return gauges_; }
     const std::map<std::string, Histogram>& histograms() const
     { return histograms_; }
 
-    bool empty() const;
-
-    // --- Snapshot I/O.
-    /** Versioned, sorted-key, round-trippable JSON snapshot. */
+    /** Versioned, sorted-key JSON snapshot. */
     std::string toJson() const;
-    /** Parse a toJson() snapshot; nullopt on malformed input. */
-    static std::optional<Registry> fromJson(const std::string& text);
 
   private:
+    void appendTrace(TraceEvent event);
+
     std::map<std::string, std::int64_t> counters_;
-    std::map<std::string, double> gauges_;
     std::map<std::string, Histogram> histograms_;
     std::vector<TraceEvent> trace_;
     std::int64_t trace_dropped_ = 0;

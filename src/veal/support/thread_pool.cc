@@ -131,10 +131,16 @@ ThreadPool::run(int num_tasks, const std::function<void(int)>& body)
         });
     }
 
-    // Deterministic propagation: the lowest failing index wins.
+    // Deterministic propagation: the lowest failing index wins.  Move
+    // it out of the batch first: runner jobs still share the batch, and
+    // the one that drops it last must not free the exception while the
+    // caller's handler reads it (the refcount that orders the two lives
+    // in libstdc++, which TSan cannot see).
     for (auto& error : batch->errors) {
-        if (error)
-            std::rethrow_exception(error);
+        if (error) {
+            const std::exception_ptr first = std::move(error);
+            std::rethrow_exception(first);
+        }
     }
 }
 

@@ -1,7 +1,6 @@
 #include "veal/vm/code_cache.h"
 
 #include "veal/support/assert.h"
-#include "veal/support/metrics/metrics.h"
 
 namespace veal {
 
@@ -74,26 +73,6 @@ CodeCache::stats() const
     stats.size = size();
     stats.capacity = capacity_;
     return stats;
-}
-
-void
-CodeCache::recordInto(metrics::Registry& registry,
-                      const std::string& prefix) const
-{
-    registry.add(prefix + ".hits", hits_);
-    registry.add(prefix + ".misses", misses_);
-    registry.add(prefix + ".evictions", evictions_);
-    registry.add(prefix + ".resident", size());
-}
-
-void
-CodeCache::clear()
-{
-    lru_.clear();
-    entries_.clear();
-    hits_ = 0;
-    misses_ = 0;
-    evictions_ = 0;
 }
 
 }  // namespace veal

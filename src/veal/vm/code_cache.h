@@ -14,10 +14,6 @@
 
 namespace veal {
 
-namespace metrics {
-class Registry;
-}  // namespace metrics
-
 /**
  * LRU cache of translated-loop identities.
  *
@@ -34,7 +30,7 @@ class CodeCache {
         kRefreshed,  ///< Key was already resident; recency touched only.
     };
 
-    /** Accounting snapshot, consumed by the metrics registry. */
+    /** Accounting snapshot. */
     struct Stats {
         std::int64_t hits = 0;
         std::int64_t misses = 0;
@@ -93,13 +89,6 @@ class CodeCache {
     std::int64_t evictions() const { return evictions_; }
 
     Stats stats() const;
-
-    /** Add this cache's Stats as "<prefix>.hits" etc. into @p registry. */
-    void recordInto(metrics::Registry& registry,
-                    const std::string& prefix) const;
-
-    /** Drop everything and reset statistics (evictions included). */
-    void clear();
 
   private:
     int capacity_;

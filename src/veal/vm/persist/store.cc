@@ -12,6 +12,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/**
+ * Protected-segment share of max_entries, in percent.  The rest is
+ * probation (scan-resistance: new keys must prove reuse to enter the
+ * protected segment).
+ */
+constexpr int kProtectedPercent = 50;
+
 constexpr const char* kLockName = "LOCK";
 constexpr const char* kLegacyManifestName = "MANIFEST";
 constexpr const char* kLegacyBlobSuffix = ".vpb";
@@ -39,8 +46,6 @@ PersistentStore::PersistentStore(std::string directory,
 {
     VEAL_ASSERT(options_.max_entries >= 1,
                 "persistent store needs at least one entry");
-    options_.protected_percent =
-        std::clamp(options_.protected_percent, 0, 100);
     options_.compact_garbage_percent =
         std::clamp(options_.compact_garbage_percent, 1, 100);
     if (!vfs_->createDirectories(directory_)) {
@@ -155,8 +160,7 @@ PersistentStore::touch(int slot)
     pushFront(lists_[kProtected], slot);
     // Keep the protected segment within its share by demoting its tail
     // back to probation (not evicting -- it keeps its record).
-    const int protected_cap = std::max(
-        0, options_.max_entries * options_.protected_percent / 100);
+    const int protected_cap = options_.max_entries * kProtectedPercent / 100;
     while (lists_[kProtected].count > protected_cap) {
         const int demoted = lists_[kProtected].tail;
         unlink(lists_[kProtected], demoted);
@@ -900,36 +904,6 @@ PersistentStore::stats() const
     stats.live_bytes = segments_.liveBytes();
     stats.log_bytes = segments_.totalBytes();
     return stats;
-}
-
-void
-PersistentStore::recordInto(metrics::Registry& registry,
-                            const std::string& prefix) const
-{
-    const StoreStats stats = this->stats();
-    registry.add(prefix + ".saves", stats.saves);
-    registry.add(prefix + ".hits", stats.hits);
-    registry.add(prefix + ".misses", stats.misses);
-    registry.add(prefix + ".evictions", stats.evictions);
-    registry.add(prefix + ".invalidations", stats.invalidations);
-    registry.add(prefix + ".corrupt", stats.corrupt);
-    registry.add(prefix + ".version_skew", stats.version_skew);
-    registry.add(prefix + ".manifest_rebuilds", stats.manifest_rebuilds);
-    registry.add(prefix + ".io_error", stats.io_errors);
-    registry.add(prefix + ".readonly", stats.readonly);
-    registry.add(prefix + ".readonly_skips", stats.readonly_skips);
-    registry.add(prefix + ".tmp_swept", stats.tmp_swept);
-    registry.add(prefix + ".tail_truncations", stats.tail_truncations);
-    registry.add(prefix + ".orphans_dropped", stats.orphans_dropped);
-    registry.add(prefix + ".lost_records", stats.lost_records);
-    registry.add(prefix + ".migrated", stats.migrated);
-    registry.add(prefix + ".compactions", stats.compactions);
-    registry.add(prefix + ".reclaimed_bytes", stats.reclaimed_bytes);
-    registry.add(prefix + ".manifest_rewrites", stats.manifest_rewrites);
-    registry.add(prefix + ".resident", stats.size);
-    registry.add(prefix + ".segments", stats.segments);
-    registry.add(prefix + ".live_bytes", stats.live_bytes);
-    registry.add(prefix + ".log_bytes", stats.log_bytes);
 }
 
 std::vector<std::string>

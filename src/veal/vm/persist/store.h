@@ -71,13 +71,6 @@ struct StoreOptions {
     /** Maximum resident entries; the probation tail evicts beyond it. */
     int max_entries = 4096;
 
-    /**
-     * Protected-segment share of max_entries, in percent.  The rest is
-     * probation (scan-resistance: new keys must prove reuse to enter
-     * the protected segment).
-     */
-    int protected_percent = 50;
-
     /** Segment file size that seals the active segment. */
     std::int64_t segment_bytes = 256 * 1024;
 
@@ -183,10 +176,6 @@ class PersistentStore {
     bool compactNow();
 
     StoreStats stats() const;
-
-    /** Add counters as "<prefix>.saves" etc. into @p registry. */
-    void recordInto(metrics::Registry& registry,
-                    const std::string& prefix) const;
 
     std::int64_t
     size() const

@@ -275,10 +275,6 @@ class VirtualMachine {
                      FaultInjector* faults = nullptr,
                      FaultRunReport* fault_report = nullptr) const;
 
-    const LaConfig& laConfig() const { return la_; }
-    const CpuConfig& cpuConfig() const { return cpu_; }
-    const VmOptions& options() const { return options_; }
-
   private:
     LaConfig la_;
     CpuConfig cpu_;

@@ -449,12 +449,6 @@ makeMatVecLoop(const std::string& name, int rows, int cols)
 }
 
 Loop
-makeMatVec4Loop(const std::string& name)
-{
-    return makeMatVecLoop(name, 4, 4);
-}
-
-Loop
 makeViterbiAcsLoop(const std::string& name)
 {
     LoopBuilder b(name);

@@ -68,9 +68,6 @@ Loop makeStencilNLoop(const std::string& name, int points);
 /** rows x cols matrix-vector transform (177.mesa vertex pipeline). */
 Loop makeMatVecLoop(const std::string& name, int rows, int cols);
 
-/** 4x4 matrix-vector transform. */
-Loop makeMatVec4Loop(const std::string& name);
-
 /** Viterbi add-compare-select with path-metric recurrences. */
 Loop makeViterbiAcsLoop(const std::string& name);
 

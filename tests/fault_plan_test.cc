@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "veal/fault/fault_injector.h"
-#include "veal/support/metrics/metrics.h"
 
 namespace veal {
 namespace {
@@ -128,23 +127,6 @@ TEST(FaultInjector, CorruptionBitIsBoundedAndPlanDeterministic)
         EXPECT_EQ(bit_a, b.corruptionBit(96))
             << "same plan must corrupt the same bits";
     }
-}
-
-TEST(FaultInjector, RecordIntoReportsNonZeroSitesOnly)
-{
-    FaultPlan plan;
-    plan.faults.push_back(
-        ArmedFault{FaultSite::kRegisterAllocation, 0, 1});
-    FaultInjector injector(plan);
-    EXPECT_TRUE(injector.probe(FaultSite::kRegisterAllocation));
-    EXPECT_FALSE(injector.probe(FaultSite::kSchedulerPlacement));
-
-    metrics::Registry registry;
-    injector.recordInto(registry, "test");
-    EXPECT_EQ(registry.counter("test.fired.register-allocation"), 1);
-    EXPECT_EQ(registry.counter("test.probes.register-allocation"), 1);
-    EXPECT_EQ(registry.counter("test.probes.scheduler-placement"), 1);
-    EXPECT_EQ(registry.counter("test.fired.scheduler-placement"), 0);
 }
 
 }  // namespace

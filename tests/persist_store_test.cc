@@ -317,11 +317,6 @@ TEST_F(PersistStoreTest, StatsAndRegistryAgree)
     EXPECT_EQ(registry.counter("vm.persist.hits"), 1);
     EXPECT_EQ(registry.counter("vm.persist.misses"), 1);
     EXPECT_EQ(registry.counter("vm.persist.invalidations"), 1);
-
-    metrics::Registry snapshot;
-    store.recordInto(snapshot, "store");
-    EXPECT_EQ(snapshot.counter("store.saves"), 1);
-    EXPECT_EQ(snapshot.counter("store.hits"), 1);
 }
 
 TEST_F(PersistStoreTest, KeysWithHostileCharactersRoundTrip)

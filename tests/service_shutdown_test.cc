@@ -1,7 +1,7 @@
 /**
  * Graceful service shutdown: a flipped stop flag ends run() at a tick
  * boundary with every admitted request fully drained and the store
- * flushed; beginShutdown() closes the queue so later submissions bounce
+ * flushed; beginShutdown() stops admitting so later submissions bounce
  * through the normal backpressure path; and a stopped run's store is
  * immediately warm-startable by the next process.
  */
@@ -118,7 +118,7 @@ TEST_F(ServiceShutdownTest, DirectDriveShutdownDrainsTheInflightTick)
     EXPECT_EQ(service.report().cold, 2);
     EXPECT_EQ(static_cast<int>(service.lastTickOutcomes().size()), 2);
 
-    // The queue is closed: later submissions bounce as queue-full (the
+    // Admission is closed: later submissions bounce as queue-full (the
     // normal backpressure path -- no new caller-side handling).
     EXPECT_EQ(service.submit(makeRequest(service, 103)),
               AdmissionOutcome::kQueueFull);

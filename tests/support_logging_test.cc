@@ -4,78 +4,16 @@
 
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "veal/support/assert.h"
 
 namespace veal {
 namespace {
 
-/** Captures log traffic for inspection. */
-class CaptureSink : public LogSink {
-  public:
-    void
-    write(LogLevel level, const std::string& message) override
-    {
-        entries.emplace_back(level, message);
-    }
-
-    std::vector<std::pair<LogLevel, std::string>> entries;
-};
-
-class LoggingTest : public ::testing::Test {
-  protected:
-    void SetUp() override { previous_ = setLogSink(&sink_); }
-    void TearDown() override { setLogSink(previous_); }
-
-    CaptureSink sink_;
-    LogSink* previous_ = nullptr;
-};
-
-TEST_F(LoggingTest, InformDeliversComposedMessage)
-{
-    inform("loop ", 42, " translated in ", 1.5, " ms");
-    ASSERT_EQ(sink_.entries.size(), 1u);
-    EXPECT_EQ(sink_.entries[0].first, LogLevel::kInfo);
-    EXPECT_EQ(sink_.entries[0].second, "loop 42 translated in 1.5 ms");
-}
-
-TEST_F(LoggingTest, WarnUsesWarnLevel)
-{
-    warn("stream budget tight");
-    ASSERT_EQ(sink_.entries.size(), 1u);
-    EXPECT_EQ(sink_.entries[0].first, LogLevel::kWarn);
-}
-
-TEST_F(LoggingTest, MultipleMessagesArriveInOrder)
-{
-    inform("first");
-    warn("second");
-    inform("third");
-    ASSERT_EQ(sink_.entries.size(), 3u);
-    EXPECT_EQ(sink_.entries[0].second, "first");
-    EXPECT_EQ(sink_.entries[1].second, "second");
-    EXPECT_EQ(sink_.entries[2].second, "third");
-}
-
-TEST_F(LoggingTest, NullSinkRestoresDefault)
-{
-    // Installing nullptr falls back to the default sink (stderr), and the
-    // previous sink is returned so callers can restore it.
-    LogSink* mine = setLogSink(nullptr);
-    EXPECT_EQ(mine, &sink_);
-    // Restore for TearDown symmetry.
-    setLogSink(&sink_);
-}
-
-TEST_F(LoggingTest, LogSinkAccessorMatchesInstalled)
-{
-    EXPECT_EQ(logSink(), &sink_);
-}
-
 TEST(LoggingDeathTest, PanicAborts)
 {
-    EXPECT_DEATH(panic("internal invariant broken"), "");
+    EXPECT_DEATH(panic("internal invariant ", "broken"),
+                 "veal: panic: internal invariant broken");
 }
 
 TEST(PanicGuardTest, GuardedPanicThrowsInsteadOfAborting)
@@ -119,8 +57,9 @@ TEST(PanicGuardTest, GuardedAssertThrows)
 
 TEST(LoggingDeathTest, FatalExitsWithStatusOne)
 {
-    EXPECT_EXIT(fatal("bad configuration"),
-                ::testing::ExitedWithCode(1), "");
+    EXPECT_EXIT(fatal("bad configuration: ", 3),
+                ::testing::ExitedWithCode(1),
+                "veal: fatal: bad configuration: 3");
 }
 
 }  // namespace

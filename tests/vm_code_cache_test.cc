@@ -7,7 +7,6 @@
 
 #include "veal/fuzz/corpus.h"
 #include "veal/ir/loop_parser.h"
-#include "veal/support/metrics/metrics.h"
 
 #ifndef VEAL_CORPUS_DIR
 #error "VEAL_CORPUS_DIR must point at tests/corpus"
@@ -69,19 +68,6 @@ TEST(CodeCacheTest, CapacityIsRespected)
     // The 16 most recent survive.
     for (int i = 84; i < 100; ++i)
         EXPECT_TRUE(cache.lookup("loop" + std::to_string(i)));
-}
-
-TEST(CodeCacheTest, ClearResetsEverything)
-{
-    CodeCache cache(2);
-    cache.insert("a");
-    cache.lookup("a");
-    cache.lookup("zzz");
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0);
-    EXPECT_EQ(cache.hits(), 0);
-    EXPECT_EQ(cache.misses(), 0);
-    EXPECT_FALSE(cache.lookup("a"));
 }
 
 TEST(CodeCacheTest, WorkingSetWithinCapacityNeverThrashes)
@@ -154,31 +140,6 @@ TEST(CodeCacheTest, StatsSnapshotMatchesAccessors)
     EXPECT_EQ(stats.evictions, 1);
     EXPECT_EQ(stats.size, 2);
     EXPECT_EQ(stats.capacity, 2);
-}
-
-TEST(CodeCacheTest, RecordIntoUsesThePrefix)
-{
-    CodeCache cache(4);
-    cache.lookup("a");
-    cache.insert("a");
-    cache.lookup("a");
-    metrics::Registry registry;
-    cache.recordInto(registry, "cache");
-    EXPECT_EQ(registry.counter("cache.hits"), 1);
-    EXPECT_EQ(registry.counter("cache.misses"), 1);
-    EXPECT_EQ(registry.counter("cache.evictions"), 0);
-    EXPECT_EQ(registry.counter("cache.resident"), 1);
-}
-
-TEST(CodeCacheTest, ClearResetsEvictions)
-{
-    CodeCache cache(1);
-    cache.insert("a");
-    cache.insert("b");
-    EXPECT_EQ(cache.evictions(), 1);
-    cache.clear();
-    EXPECT_EQ(cache.evictions(), 0);
-    EXPECT_EQ(cache.stats().size, 0);
 }
 
 TEST(CodeCacheTest, EvictedKeyReportsTheLruVictim)

@@ -177,10 +177,6 @@ faultMetricsDigest(const metrics::Registry& registry)
         digest.add(name);
         digest.add(value);
     }
-    for (const auto& [name, value] : registry.gauges()) {
-        digest.add(name);
-        digest.add(value);
-    }
     for (const auto& [name, histogram] : registry.histograms()) {
         digest.add(name);
         for (const std::int64_t count : histogram.counts)

@@ -43,7 +43,7 @@ extern "C" void
 handleStopSignal(int)
 {
     // Async-signal-safe: one relaxed store, nothing else.  Everything
-    // interesting (queue close, drain, flush) happens on the driver
+    // interesting (shutdown, drain, flush) happens on the driver
     // thread at the next tick boundary.
     g_stop.store(true, std::memory_order_relaxed);
 }
@@ -76,7 +76,7 @@ usage()
         "  --batch N       CPU pricing lanes per batch call (default 16)\n"
         "admission control:\n"
         "  --quota N       per-tenant in-flight quota per tick (default 8)\n"
-        "  --queue-depth N bounded request queue depth (default 64)\n"
+        "  --queue-depth N requests admitted per tick (default 64)\n"
         "  --cache-entries N  per-shard code-cache capacity (default 16)\n"
         "persistence:\n"
         "  --cache-dir DIR    persistent cross-run code cache; a rerun\n"
