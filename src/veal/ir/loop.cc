@@ -1,7 +1,9 @@
 #include "veal/ir/loop.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <utility>
 
 #include "veal/support/assert.h"
 
@@ -168,36 +170,69 @@ Loop::verify() const
             return "memory edge is a zero-distance self edge";
     }
 
-    // Detect distance-0 cycles with an explicit DFS (three-colour).
-    enum class Colour { kWhite, kGrey, kBlack };
-    std::vector<std::vector<OpId>> succs(static_cast<std::size_t>(n));
-    for (const auto& edge : allEdges()) {
-        if (edge.distance == 0)
-            succs[static_cast<std::size_t>(edge.from)].push_back(edge.to);
+    // Detect distance-0 cycles with an explicit DFS (three-colour) over
+    // CSR successor lists filled in allEdges() order -- data edges by
+    // consumer, then memory edges -- so the walk, and the first cycle
+    // it reports, is the one a walk over allEdges() would take.
+    const auto un = static_cast<std::size_t>(n);
+    std::vector<std::uint32_t> first(un + 1, 0);  // Into succs, per op.
+    for (const auto& operation : ops_) {
+        for (const auto& input : operation.inputs) {
+            if (input.distance == 0)
+                ++first[static_cast<std::size_t>(input.producer) + 1];
+        }
     }
-    std::vector<Colour> colour(static_cast<std::size_t>(n), Colour::kWhite);
+    for (const auto& edge : memory_edges_) {
+        if (edge.distance == 0)
+            ++first[static_cast<std::size_t>(edge.from) + 1];
+    }
+    for (std::size_t i = 1; i <= un; ++i)
+        first[i] += first[i - 1];
+    // Fill each op's run front to back, then shift the advanced starts
+    // back into place.
+    std::vector<OpId> succs(first[un]);
+    for (const auto& operation : ops_) {
+        for (const auto& input : operation.inputs) {
+            if (input.distance == 0)
+                succs[first[static_cast<std::size_t>(input.producer)]++] =
+                    operation.id;
+        }
+    }
+    for (const auto& edge : memory_edges_) {
+        if (edge.distance == 0)
+            succs[first[static_cast<std::size_t>(edge.from)]++] = edge.to;
+    }
+    for (std::size_t i = un; i > 0; --i)
+        first[i] = first[i - 1];
+    first[0] = 0;
+
+    enum Colour : std::uint8_t { kWhite, kGrey, kBlack };
+    std::vector<std::uint8_t> colour(un, kWhite);
+    // Iterative DFS: stack of (node, next successor into succs).  Each op
+    // is pushed at most once, so the reserve holds every walk.
+    std::vector<std::pair<OpId, std::uint32_t>> stack;
+    stack.reserve(un);
     for (OpId root = 0; root < n; ++root) {
-        if (colour[static_cast<std::size_t>(root)] != Colour::kWhite)
+        if (colour[static_cast<std::size_t>(root)] != kWhite)
             continue;
-        // Iterative DFS: stack of (node, next-successor-index).
-        std::vector<std::pair<OpId, std::size_t>> stack{{root, 0}};
-        colour[static_cast<std::size_t>(root)] = Colour::kGrey;
+        stack.emplace_back(root, first[static_cast<std::size_t>(root)]);
+        colour[static_cast<std::size_t>(root)] = kGrey;
         while (!stack.empty()) {
             auto& [node, next] = stack.back();
-            const auto& out = succs[static_cast<std::size_t>(node)];
-            if (next < out.size()) {
-                const OpId succ = out[next++];
+            if (next < first[static_cast<std::size_t>(node) + 1]) {
+                const OpId succ = succs[next++];
                 auto& c = colour[static_cast<std::size_t>(succ)];
-                if (c == Colour::kGrey) {
+                if (c == kGrey) {
                     return "distance-0 dependence cycle through op " +
                            std::to_string(succ);
                 }
-                if (c == Colour::kWhite) {
-                    c = Colour::kGrey;
-                    stack.emplace_back(succ, 0);
+                if (c == kWhite) {
+                    c = kGrey;
+                    stack.emplace_back(
+                        succ, first[static_cast<std::size_t>(succ)]);
                 }
             } else {
-                colour[static_cast<std::size_t>(node)] = Colour::kBlack;
+                colour[static_cast<std::size_t>(node)] = kBlack;
                 stack.pop_back();
             }
         }

@@ -190,7 +190,9 @@ ServiceReport::render() const
 
 TranslationService::TranslationService(ServiceOptions options,
                                        metrics::Registry* registry)
-    : options_(std::move(options)), registry_(registry)
+    : options_(std::move(options)),
+      registry_(registry),
+      cpu_signature_(persist::cpuSignature(options_.cpu))
 {
     if (!options_.cache_dir.empty()) {
         persistent_ = std::make_unique<persist::PersistentStore>(
@@ -287,6 +289,9 @@ struct TranslationService::TickPlan {
         enum class ScoreSource { kNone, kComputed, kWarm, kPersisted };
         ScoreSource score_source = ScoreSource::kNone;
         int cpu_lane = -1;  ///< Into cpu_lanes (-1: priced in planning).
+        /** The stored profile that priced the CPU baseline in planning --
+            the key's warm entry's or its blob's, sharing its owner. */
+        std::shared_ptr<const CpuProfile> cpu_profile;
         // Price-phase products; the LA prices only for an ok summary.
         const persist::TranslationSummary* summary = nullptr;
         std::int64_t la_first_cycles = 0;  ///< The job owner's only.
@@ -327,9 +332,10 @@ TranslationService::drainTick()
  * Plan, sequential in sequence order: take the tick and fix the logical
  * cache taxonomy (so it is shard-count invariant) and the fresh
  * translation jobs; price the baseline CPU of every request whose key's
- * warm entry holds a covering CpuProfile (the rest become CPU lanes);
- * and perform every warm-tier write of the consult, so the parallel
- * phase never touches the tier.
+ * warm entry -- or, without one, whose blob, simulated on this CPU --
+ * holds a CpuProfile (the rest become CPU lanes); and perform every
+ * warm-tier write of the consult, so the parallel phase never touches
+ * the tier.
  */
 TranslationService::TickPlan
 TranslationService::planTick(std::vector<Pending> admitted)
@@ -342,14 +348,20 @@ TranslationService::planTick(std::vector<Pending> admitted)
     tick.cpu_cycles.assign(tick.admitted.size(), 0);
 
     const auto price_cpu = [&](std::size_t i,
-                               const WarmTier::Entry* entry) {
+                               std::shared_ptr<const CpuProfile> profile) {
         const std::int64_t iterations = tick.admitted[i].request.iterations;
-        if (entry != nullptr && entry->cpu_profile.covers(iterations)) {
-            tick.cpu_cycles[i] = entry->cpu_profile.totalAt(iterations);
+        if (profile != nullptr && profile->covers(iterations)) {
+            tick.cpu_cycles[i] = profile->totalAt(iterations);
+            tick.plans[i].cpu_profile = std::move(profile);
         } else {
             tick.plans[i].cpu_lane = static_cast<int>(tick.cpu_lanes.size());
             tick.cpu_lanes.push_back(i);
         }
+    };
+    const auto entry_profile = [](const WarmTier::EntryRef& entry) {
+        return entry == nullptr ? nullptr
+                                : std::shared_ptr<const CpuProfile>(
+                                      entry, &entry->cpu_profile);
     };
     std::map<std::string, int> tick_provider;  // key -> job index.
     // One store load per key per tick: later same-tick requests share
@@ -384,7 +396,7 @@ TranslationService::planTick(std::vector<Pending> admitted)
         const auto qkey = std::make_pair(request.tenant, request.key);
         if (quarantined_.count(qkey) != 0) {
             plan.cache = CacheOutcome::kQuarantined;
-            price_cpu(i, warm_.find(request.key).get());
+            price_cpu(i, entry_profile(warm_.find(request.key)));
             continue;
         }
         if (options_.fault_seed.has_value()) {
@@ -410,7 +422,7 @@ TranslationService::planTick(std::vector<Pending> admitted)
         // load per key per tick, skipped when a same-tick job is
         // already translating the key.
         WarmTier::EntryRef entry = warm_.serve(request.key);
-        price_cpu(i, entry.get());
+        std::shared_ptr<const CpuProfile> profile = entry_profile(entry);
         std::shared_ptr<const persist::PersistedImage> blob;
         if (entry == nullptr && persistent_ != nullptr) {
             if (const auto cached = tick_persisted.find(request.key);
@@ -423,11 +435,15 @@ TranslationService::planTick(std::vector<Pending> admitted)
                     tick_persisted[request.key] = blob;
                 }
             }
+            // A blob simulated on this CPU prices the baseline with its
+            // profile, also when the fleet gate below does not serve it.
+            if (blob != nullptr && blob->cpu_signature == cpu_signature_)
+                profile = {blob, &blob->cpu_profile};
             // Fleet gate: a blob is only fleet-servable when it carries
             // scores minted under this exact fleet AND its translation
             // targets the backend the steerer picks.  Anything else is
             // a miss; the cold retranslation overwrites the blob with
-            // freshly-scored v2 contents.
+            // freshly-scored contents.
             if (blob != nullptr && fleetEnabled()) {
                 const auto& s = blob->summary;
                 const bool usable =
@@ -445,6 +461,7 @@ TranslationService::planTick(std::vector<Pending> admitted)
                     blob = nullptr;
             }
         }
+        price_cpu(i, std::move(profile));
 
         if (entry != nullptr || blob != nullptr) {
             // Verify before trust.  A blob's FNV checksum validated on
@@ -743,6 +760,13 @@ TranslationService::reduceTick(TickPlan& tick)
         out.cpu_cycles = tick.cpu_cycles[i];
         report_.cpu_cycles += out.cpu_cycles;
 
+        // The profile that priced this request's CPU baseline: its lane's
+        // run, or the stored one planning read (null: neither).
+        const CpuProfile* profile =
+            plan.cpu_lane >= 0 ? &tick.lane_profiles[static_cast<std::size_t>(
+                                     plan.cpu_lane)]
+                               : plan.cpu_profile.get();
+
         // Charge and publish a fresh translation; rehydrate a persisted
         // serve's key.
         if (plan.job >= 0) {
@@ -776,15 +800,21 @@ TranslationService::reduceTick(TickPlan& tick)
             // request's sequence; later ticks serve it from the warm
             // tier, later *runs* from the store.  Both take a copy of
             // the summary: same-tick coalesced serves priced from the
-            // job's own.
+            // job's own.  The record carries the CPU profile too (after
+            // a strike, the struck entry's), so a later run prices the
+            // key without simulating it.
             if (persistent_ != nullptr) {
                 persist::PersistedImage record;
                 record.key = log.key;
                 record.summary = job.summary;
+                if (profile != nullptr) {
+                    record.cpu_profile = *profile;
+                    record.cpu_signature = cpu_signature_;
+                }
                 if (fleetEnabled()) {
-                    // v2 blob: carry the chosen backend and the full
-                    // score set so the next run rehydrates placements
-                    // without re-scoring.
+                    // Fleet section: carry the chosen backend and the
+                    // full score set so the next run rehydrates
+                    // placements without re-scoring.
                     record.summary.fleet_backend = plan.backend;
                     if (const auto scores = warm_.findScores(log.key))
                         record.summary.fleet = *scores;
@@ -807,14 +837,12 @@ TranslationService::reduceTick(TickPlan& tick)
                                  std::move(image), tick.epoch,
                                  log.sequence, plan.backend);
         }
-        // Memoize this request's CPU run on the key's entry (just
-        // published, rehydrated or long resident) for later requests.
-        if (plan.cpu_lane >= 0) {
-            warm_.offerCpuProfile(
-                log.key,
-                std::move(tick.lane_profiles[static_cast<std::size_t>(
-                    plan.cpu_lane)]));
-        }
+        // Memoize the profile on the key's entry (just published,
+        // rehydrated or long resident) for later requests, unless it is
+        // that entry's own.
+        if (profile != nullptr &&
+            (plan.cpu_lane >= 0 || plan.warm_entry == nullptr))
+            warm_.offerCpuProfile(log.key, *profile);
 
         const persist::TranslationSummary* summary = plan.summary;
         if (summary != nullptr) {

@@ -14,15 +14,16 @@
  *  - plan (sequential): consult the shared WarmTier and, on a miss,
  *    the persistent store; verify each cached image before trusting
  *    it; fix the cache taxonomy, the translation jobs and the CPU
- *    prices the warm tier's CpuProfiles cover.  Every warm-tier write
- *    of the consult happens here.
+ *    prices stored CpuProfiles cover: the warm entry's, or on a miss
+ *    the blob's, when simulated on this CPU.  Every warm-tier write of
+ *    the consult happens here.
  *  - execute (parallel): each worker shard, with a private CodeCache
  *    and BatchSimulator, translates its jobs and simulates its blocks
  *    of the uncovered CPU lanes.
  *  - price: each request's serving summary, its first and warm LA
  *    prices and its TLB charge.
- *  - reduce (sequential): all accounting, warm-tier publication and
- *    CPU profile memoization.
+ *  - reduce (sequential): all accounting, warm-tier publication, store
+ *    saves (with the CPU profile) and CPU profile memoization.
  *
  * The fault layer is wired through: a cached serve checksums its
  * control image first, a corruption probe invalidates + re-translates,
@@ -198,8 +199,9 @@ struct ServiceRequest {
     /**
      * Translation identity (tenants share; e.g. traceRequestKey()).  It
      * also names the loop for CPU pricing -- one key, one loop: the
-     * key's warm-tier CpuProfile prices every later request of the key,
-     * whatever its iteration count.
+     * key's CpuProfile, in the warm tier and in its blob, prices every
+     * later request of the key, whatever its iteration count, in this
+     * run and the next.
      */
     std::string key;
 
@@ -440,6 +442,9 @@ class TranslationService {
 
     ServiceOptions options_;
     metrics::Registry* registry_ = nullptr;
+    /** persist::cpuSignature(options_.cpu): the blobs whose CPU profile
+        prices this service's baseline. */
+    std::uint64_t cpu_signature_ = 0;
 
     std::vector<Pending> admitted_;  ///< This tick's, in sequence order.
     std::vector<LogEntry> tick_log_;

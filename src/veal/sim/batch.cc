@@ -99,8 +99,12 @@ BatchSimulator::simulateCpuBatch(const CpuConfig& config,
         CpuLane lane;
         lane.iterations = request.iterations;
         lane.n = loop.size();
-        lane.sim_iters = static_cast<int>(std::min<std::int64_t>(
-            request.iterations, kCpuSimIterations));
+        // A profiled lane steps the full window, so its profile prices
+        // every trip count; its timing still reads its own window.
+        lane.sim_iters = profiles != nullptr
+                             ? kCpuSimIterations
+                             : static_cast<int>(std::min<std::int64_t>(
+                                   request.iterations, kCpuSimIterations));
 
         int max_distance = 1;
         for (const auto& op : loop.operations()) {
@@ -198,37 +202,43 @@ BatchSimulator::simulateCpuBatch(const CpuConfig& config,
         }
     }
 
-    // --- Finalize: steady-state rate and extrapolation, identical per
-    // lane; the profile is the same run read at every prefix.
+    // --- Finalize: steady-state rate and extrapolation at the lane's
+    // own first min(N, kCpuSimIterations) iterations, identical per lane
+    // whatever was stepped past them; the profile is the full window.
     std::vector<CpuLoopTiming> timings;
     timings.reserve(lanes.size());
     if (profiles != nullptr) {
         profiles->clear();
         profiles->reserve(lanes.size());
     }
+    const auto tail_at = [](const std::int64_t* iteration_end, int last) {
+        return iteration_end[last] - iteration_end[last - kCpuMeasureWindow];
+    };
     for (const auto& lane : cpu_lanes_) {
         const std::int64_t* iteration_end =
             cpu_iteration_end_.data() + lane.iter_end_base;
-        const int last = lane.sim_iters - 1;
+        const std::int64_t* window_total =
+            cpu_window_total_.data() + lane.iter_end_base;
+        const int own = static_cast<int>(
+            std::min<std::int64_t>(lane.iterations, kCpuSimIterations));
+        const int last = own - 1;
         CpuLoopTiming timing;
         std::int64_t tail = 0;
-        if (lane.sim_iters >= kCpuMeasureWindow * 2) {
-            tail = iteration_end[last] -
-                   iteration_end[last - kCpuMeasureWindow];
+        if (own >= kCpuMeasureWindow * 2) {
+            tail = tail_at(iteration_end, last);
             timing.cycles_per_iteration =
                 static_cast<double>(tail) / kCpuMeasureWindow;
         } else {
             timing.cycles_per_iteration =
-                static_cast<double>(iteration_end[last]) / lane.sim_iters;
+                static_cast<double>(iteration_end[last]) / own;
         }
         timing.total_cycles = extrapolateCpuCycles(
-            std::max<std::int64_t>(lane.end_of_iteration, 1), tail,
+            std::max<std::int64_t>(window_total[last], 1), tail,
             lane.iterations);
         timings.push_back(timing);
         if (profiles != nullptr) {
             profiles->emplace_back(
-                cpu_window_total_.data() + lane.iter_end_base,
-                lane.sim_iters, tail);
+                window_total, tail_at(iteration_end, kCpuSimIterations - 1));
         }
     }
     return timings;

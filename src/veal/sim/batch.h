@@ -199,9 +199,10 @@ class BatchSimulator {
      * Timing of every lane on @p config, index-aligned with @p lanes.
      * Bit-identical to reference::simulateLoopOnCpu per lane.  When
      * @p profiles is set it also receives every lane's CpuProfile,
-     * index-aligned: the lane's simulated run, which prices every trip
-     * count up to min(iterations, kCpuSimIterations) -- and every trip
-     * count at all once the run is the full window.
+     * index-aligned: every lane then steps the full kCpuSimIterations
+     * window, whatever its trip count, so its profile prices every trip
+     * count (its timing still reads only its own first
+     * min(iterations, kCpuSimIterations) iterations).
      */
     std::vector<CpuLoopTiming> simulateCpuBatch(
         const CpuConfig& config, const std::vector<CpuSimRequest>& lanes,

@@ -22,32 +22,29 @@ extrapolateCpuCycles(std::int64_t window_total, std::int64_t tail,
     return window_total + static_cast<std::int64_t>(extra);
 }
 
-CpuProfile::CpuProfile(const std::int64_t* window_totals, int length,
-                       std::int64_t tail)
+CpuProfile::CpuProfile(const std::int64_t* window_totals, std::int64_t tail)
 {
-    VEAL_ASSERT(length >= 1 && length <= kCpuSimIterations);
     constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-    const bool full = length == kCpuSimIterations;
     // Completion cycles never decrease, so the last total bounds them
     // all; a run that overflows 32 bits is simply not memoized.
-    if (window_totals[length - 1] > kMax ||
-        (full && (tail < 0 || tail > kMax)))
+    if (window_totals[kCpuSimIterations - 1] > kMax || tail < 0 ||
+        tail > kMax)
         return;
-    totals_.resize(static_cast<std::size_t>(length));
-    for (int k = 0; k < length; ++k) {
+    totals_.resize(kCpuSimIterations);
+    for (int k = 0; k < kCpuSimIterations; ++k) {
         totals_[static_cast<std::size_t>(k)] = static_cast<std::int32_t>(
             std::max<std::int64_t>(window_totals[k], 1));
     }
-    tail_ = full ? static_cast<std::int32_t>(tail) : 0;
+    tail_ = static_cast<std::int32_t>(tail);
 }
 
 std::int64_t
 CpuProfile::totalAt(std::int64_t iterations) const
 {
-    VEAL_ASSERT(covers(iterations), "profile of ", length(),
-                " iterations cannot price ", iterations);
+    VEAL_ASSERT(covers(iterations), "profile cannot price ", iterations,
+                " iterations");
     const auto last = static_cast<std::size_t>(
-        std::min<std::int64_t>(iterations, length()) - 1);
+        std::min<std::int64_t>(iterations, kCpuSimIterations) - 1);
     return extrapolateCpuCycles(totals_[last], tail_, iterations);
 }
 

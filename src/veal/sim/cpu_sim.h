@@ -53,35 +53,31 @@ std::int64_t extrapolateCpuCycles(std::int64_t window_total,
                                   std::int64_t iterations);
 
 /**
- * A loop's CPU price at every trip count one simulation fixes.
+ * A loop's CPU price at every trip count, from one full-window run.
  *
  * The first k simulated iterations are the same whatever the trip
- * count, so a run of L iterations prices every N <= L (the running
- * total after N), and a full kCpuSimIterations run also fixes the
- * steady-state tail every longer N extrapolates with.  Totals are kept
- * in 32-bit cells; a run whose totals do not fit yields an empty
- * profile, which covers nothing.
+ * count, so one kCpuSimIterations run prices every N <= 96 (the running
+ * total after N) and fixes the steady-state tail every longer N
+ * extrapolates with.  Totals are kept in 32-bit cells; a run whose
+ * totals do not fit yields an empty profile, which covers nothing.
  */
 class CpuProfile {
   public:
     /** The empty profile. */
     CpuProfile() = default;
 
-    /** Profile of a @p length-iteration run: @p window_totals[k] is
-        the last completion cycle after iteration k; @p tail as in
-        extrapolateCpuCycles() (kept only for a full window). */
-    CpuProfile(const std::int64_t* window_totals, int length,
-               std::int64_t tail);
+    /** Profile of a full-window run: @p window_totals[k], for each of
+        the kCpuSimIterations iterations k, is the last completion cycle
+        after iteration k; @p tail as in extrapolateCpuCycles(). */
+    CpuProfile(const std::int64_t* window_totals, std::int64_t tail);
 
-    /** Simulated iterations behind this profile (0: empty). */
-    int length() const { return static_cast<int>(totals_.size()); }
+    bool empty() const { return totals_.empty(); }
 
     /** True when totalAt(@p iterations) is answerable. */
     bool
     covers(std::int64_t iterations) const
     {
-        return iterations >= 1 && (iterations <= length() ||
-                                   length() == kCpuSimIterations);
+        return !empty() && iterations >= 1;
     }
 
     /**
@@ -90,8 +86,13 @@ class CpuProfile {
      */
     std::int64_t totalAt(std::int64_t iterations) const;
 
+    /** max(completion, 1) after each iteration of the window (none when
+        empty), and the tail: what a persisted profile stores. */
+    const std::vector<std::int32_t>& totals() const { return totals_; }
+    std::int32_t tail() const { return tail_; }
+
   private:
-    std::vector<std::int32_t> totals_;  ///< max(completion, 1) per iteration.
+    std::vector<std::int32_t> totals_;
     std::int32_t tail_ = 0;
 };
 

@@ -28,9 +28,6 @@ class TextTable {
     /** Render with a header rule and 2-space column gaps. */
     std::string render() const;
 
-    /** Number of data rows added so far. */
-    std::size_t rowCount() const { return rows_.size(); }
-
   private:
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

@@ -82,12 +82,6 @@ class CodeCache {
     /** Number of resident entries. */
     int size() const { return static_cast<int>(entries_.size()); }
 
-    int capacity() const { return capacity_; }
-
-    std::int64_t hits() const { return hits_; }
-    std::int64_t misses() const { return misses_; }
-    std::int64_t evictions() const { return evictions_; }
-
     Stats stats() const;
 
   private:

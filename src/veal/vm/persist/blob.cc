@@ -1,5 +1,7 @@
 #include "veal/vm/persist/blob.h"
 
+#include <limits>
+
 #include "veal/support/assert.h"
 #include "veal/support/fnv.h"
 
@@ -25,6 +27,17 @@ void
 appendI64(std::vector<std::uint8_t>& out, std::int64_t value)
 {
     appendU64(out, static_cast<std::uint64_t>(value));
+}
+
+/** Unsigned LEB128: seven bits a byte, least significant first. */
+void
+appendLeb128(std::vector<std::uint8_t>& out, std::uint32_t value)
+{
+    while (value >= 0x80) {
+        out.push_back(static_cast<std::uint8_t>(value | 0x80));
+        value >>= 7;
+    }
+    out.push_back(static_cast<std::uint8_t>(value));
 }
 
 /** Bounds-checked little-endian reader; ok() goes false, never UB. */
@@ -79,6 +92,29 @@ class Reader {
     i64()
     {
         return static_cast<std::int64_t>(u64());
+    }
+
+    std::uint8_t
+    u8()
+    {
+        if (!take(1))
+            return 0;
+        return data_[cursor_++];
+    }
+
+    /** An unsigned LEB128 of at most five bytes; one whose fifth byte
+        continues reads as UINT64_MAX, past any 32-bit field. */
+    std::uint64_t
+    leb128()
+    {
+        std::uint64_t value = 0;
+        for (int shift = 0; shift < 35; shift += 7) {
+            const std::uint8_t byte = u8();
+            value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+            if ((byte & 0x80) == 0)
+                return value;
+        }
+        return std::numeric_limits<std::uint64_t>::max();
     }
 
     std::string
@@ -140,6 +176,21 @@ toString(BlobError error)
       case BlobError::kIoError: return "io-error";
     }
     return "unknown";
+}
+
+std::uint64_t
+cpuSignature(const CpuConfig& cpu)
+{
+    std::uint64_t signature = kFnvOffsetBasis;
+    for (const int field :
+         {cpu.issue_width, cpu.branch_penalty, cpu.load_latency})
+        signature = fnvFold64(signature, static_cast<std::uint64_t>(field));
+    for (int op = 0; op < kNumOpcodes; ++op) {
+        signature = fnvFold64(
+            signature, static_cast<std::uint64_t>(cpu.latencies.latency(
+                           static_cast<Opcode>(op))));
+    }
+    return signature;
 }
 
 TranslationSummary
@@ -219,9 +270,12 @@ encodeBlob(const PersistedImage& image)
     for (const std::uint32_t word : image.image_words)
         appendU32(payload, word);
 
-    // Fleet section (version 2 only): appended after the v1 payload so
-    // every v1 field keeps its offset.  Blobs without fleet scores stay
-    // version 1 and byte-identical to the PR-8 encoder.
+    // Optional sections follow the v1 payload, so every v1 field keeps
+    // its offset: the fleet scores (version 2), then the CPU profile
+    // (version 3, which first says whether fleet scores follow).
+    const bool profiled = !image.cpu_profile.empty();
+    if (profiled)
+        payload.push_back(s.fleet.has_value() ? 1 : 0);
     if (s.fleet.has_value()) {
         const FleetScoreSet& fleet = *s.fleet;
         appendU32(payload, static_cast<std::uint32_t>(s.fleet_backend));
@@ -241,11 +295,25 @@ encodeBlob(const PersistedImage& image)
         }
     }
 
+    // The profile: the signature, the running totals as the first one
+    // and then each one's rise over the last, and the tail.
+    if (profiled) {
+        appendU64(payload, image.cpu_signature);
+        std::int32_t last = 0;
+        for (const std::int32_t total : image.cpu_profile.totals()) {
+            appendLeb128(payload, static_cast<std::uint32_t>(total - last));
+            last = total;
+        }
+        appendLeb128(payload,
+                     static_cast<std::uint32_t>(image.cpu_profile.tail()));
+    }
+
     std::vector<std::uint8_t> blob;
     blob.reserve(payload.size() + 16);
     appendU32(blob, kBlobMagic);
-    appendU32(blob,
-              s.fleet.has_value() ? kBlobVersionFleet : kBlobVersion);
+    appendU32(blob, profiled               ? kBlobVersionProfile
+                    : s.fleet.has_value() ? kBlobVersionFleet
+                                          : kBlobVersion);
     appendU64(blob, fnvBytes(payload.data(), payload.size()));
     blob.insert(blob.end(), payload.begin(), payload.end());
     return blob;
@@ -260,7 +328,7 @@ decodeBlob(const std::uint8_t* data, std::size_t size)
     if (header.u32() != kBlobMagic)
         return BlobError::kBadMagic;
     const std::uint32_t version = header.u32();
-    if (version != kBlobVersion && version != kBlobVersionFleet)
+    if (version < kBlobVersion || version > kBlobVersionProfile)
         return BlobError::kVersionSkew;
     const std::uint64_t expected = header.u64();
     const std::uint8_t* payload = data + 16;
@@ -306,7 +374,16 @@ decodeBlob(const std::uint8_t* data, std::size_t size)
         image.image_words.push_back(in.u32());
     if (!in.ok())
         return BlobError::kTruncated;
-    if (version == kBlobVersionFleet) {
+    bool fleet_section = version == kBlobVersionFleet;
+    if (version == kBlobVersionProfile) {
+        const std::uint8_t flag = in.u8();
+        if (!in.ok())
+            return BlobError::kTruncated;
+        if (flag > 1)
+            return BlobError::kMalformed;
+        fleet_section = flag == 1;
+    }
+    if (fleet_section) {
         s.fleet_backend = static_cast<std::int32_t>(in.u32());
         FleetScoreSet fleet;
         fleet.signature = in.u64();
@@ -344,6 +421,31 @@ decodeBlob(const std::uint8_t* data, std::size_t size)
                 static_cast<std::int32_t>(fleet.backends.size()))
             return BlobError::kMalformed;
         s.fleet = std::move(fleet);
+    }
+    if (version == kBlobVersionProfile) {
+        // Totals rise by unsigned deltas, so they never fall; the first
+        // is at least 1 and none, nor the tail, exceeds 32 bits (what a
+        // simulated profile holds).
+        constexpr std::uint64_t kMax =
+            std::numeric_limits<std::int32_t>::max();
+        image.cpu_signature = in.u64();
+        std::int64_t totals[kCpuSimIterations];
+        std::uint64_t total = 0;
+        for (std::int64_t& cell : totals) {
+            const std::uint64_t rise = in.leb128();
+            if (rise > kMax - total)
+                return in.ok() ? BlobError::kMalformed
+                               : BlobError::kTruncated;
+            total += rise;
+            cell = static_cast<std::int64_t>(total);
+        }
+        const std::uint64_t tail = in.leb128();
+        if (!in.ok())
+            return BlobError::kTruncated;
+        if (totals[0] < 1 || tail > kMax)
+            return BlobError::kMalformed;
+        image.cpu_profile =
+            CpuProfile(totals, static_cast<std::int64_t>(tail));
     }
     if (!in.ok())
         return BlobError::kTruncated;

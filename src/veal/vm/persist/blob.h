@@ -23,6 +23,11 @@
  * instead of burning a re-translation, mirroring the warm tier's
  * negative entries.
  *
+ * A blob also carries the key's baseline-CPU CpuProfile, tagged with
+ * the cpuSignature() of the CpuConfig it was simulated on, so a
+ * restarted service prices a persisted key's CPU baseline without
+ * simulating it again; a profile for another CPU is ignored.
+ *
  * Robustness contract (PR 4 lineage): decodeBlob() never panics.  A
  * truncated, version-skewed, or bit-flipped blob comes back as a typed
  * BlobError; the store quarantines the file and the service falls back
@@ -35,7 +40,9 @@
 #include <variant>
 #include <vector>
 
+#include "veal/arch/cpu_config.h"
 #include "veal/arch/la_config.h"
+#include "veal/sim/cpu_sim.h"
 #include "veal/sim/la_timing.h"
 #include "veal/vm/translator.h"
 
@@ -43,14 +50,16 @@ namespace veal::persist {
 
 /**
  * Blob format magic ("VPB1" little-endian) and versions.  Version 1 is
- * the PR-8 layout; version 2 appends an optional fleet-score section
- * (see FleetScoreSet).  Blobs without fleet scores still encode as
- * version 1, byte-identical to PR-8 output, so single-design-point
- * stores and their pinned benchmarks never change.
+ * the base layout; version 2 appends a fleet-score section (see
+ * FleetScoreSet); version 3 appends a CPU-profile section, after a byte
+ * that says whether the fleet section is present.  A blob encodes as
+ * the oldest version that holds it: without a profile it is still
+ * version 1 or 2, byte for byte.
  */
 constexpr std::uint32_t kBlobMagic = 0x31425056u;
 constexpr std::uint32_t kBlobVersion = 1;
 constexpr std::uint32_t kBlobVersionFleet = 2;
+constexpr std::uint32_t kBlobVersionProfile = 3;
 
 /**
  * One backend's price for a loop, as computed by the fleet scorer.
@@ -131,6 +140,14 @@ LaInvocationCost summaryLoopCost(const TranslationSummary& summary,
                                  std::int64_t iterations,
                                  bool first_invocation);
 
+/**
+ * FNV fold of every CpuConfig field the CPU model reads: issue width,
+ * branch penalty, load latency and every opcode latency.  A profile
+ * simulated on one config prices exactly the configs with its
+ * signature.
+ */
+std::uint64_t cpuSignature(const CpuConfig& cpu);
+
 /** One persisted translation: key + summary + encoded image words. */
 struct PersistedImage {
     std::string key;
@@ -138,6 +155,11 @@ struct PersistedImage {
 
     /** ControlImage words (empty when !summary.ok). */
     std::vector<std::uint32_t> image_words;
+
+    /** The key's baseline-CPU profile (version 3; empty: none) and the
+        cpuSignature() of the config it was simulated on. */
+    CpuProfile cpu_profile;
+    std::uint64_t cpu_signature = 0;
 };
 
 /** Why a blob failed to decode or read (never a crash). */

@@ -56,12 +56,11 @@ WarmTier::serve(const std::string& key)
 }
 
 void
-WarmTier::offerCpuProfile(const std::string& key, CpuProfile profile)
+WarmTier::offerCpuProfile(const std::string& key, const CpuProfile& profile)
 {
     const auto it = entries_.find(key);
-    if (it != entries_.end() &&
-        profile.length() > it->second->cpu_profile.length())
-        it->second->cpu_profile = std::move(profile);
+    if (it != entries_.end() && it->second->cpu_profile.empty())
+        it->second->cpu_profile = profile;
 }
 
 bool

@@ -19,12 +19,13 @@
  * control, an entry holds no schedule or dataflow graph: just the
  * persist::TranslationSummary the LA cost model prices from, the
  * control image, and the key's CpuProfile -- its baseline-CPU price at
- * every trip count one simulation fixed (a key names one loop, so one
- * profile prices every request of it).  In-process translations and
- * entries rehydrated from the persistent store are the same kind of
- * entry; profiles are not persisted, so a rehydrated entry starts
- * without one.  An entry is immutable after publish, except for its
- * CPU profile.
+ * every trip count, from one full-window simulation (a key names one
+ * loop, so one profile prices every request of it).  In-process
+ * translations and entries rehydrated from the persistent store are the
+ * same kind of entry; a rehydrated entry takes its blob's profile when
+ * the blob was priced on the service's CPU.  An entry is immutable
+ * after publish, except that an entry without a CPU profile may adopt
+ * one, once.
  *
  * Concurrency discipline (how the service keeps byte-identical output
  * at any shard/thread count): all writes -- publish(),
@@ -69,7 +70,7 @@ class WarmTier {
         std::uint32_t expected_checksum = 0;
 
         /** Baseline-CPU prices of the key's loop (empty until a
-            simulation is offered; only ever replaced by a longer one). */
+            profile is offered; never replaced once set). */
         CpuProfile cpu_profile;
 
         /** Service tick that published this entry. */
@@ -125,11 +126,10 @@ class WarmTier {
     EntryRef serve(const std::string& key);
 
     /**
-     * Give @p key's entry @p profile when it covers more than the one
-     * the entry holds; no-op when the key is not resident.  Sequential
-     * phases only.
+     * Give @p key's entry @p profile when the entry holds none; no-op
+     * when the key is not resident.  Sequential phases only.
      */
-    void offerCpuProfile(const std::string& key, CpuProfile profile);
+    void offerCpuProfile(const std::string& key, const CpuProfile& profile);
 
     /**
      * Drop @p key (checksum mismatch); true when it was resident.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "veal/ir/loop_builder.h"
 
@@ -130,6 +132,70 @@ TEST(LoopVerifyTest, DetectsZeroDistanceCycle)
     const auto error = loop.verify();
     ASSERT_TRUE(error.has_value());
     EXPECT_NE(error->find("cycle"), std::string::npos);
+}
+
+/** An unverified loop of (opcode, inputs) ops plus @p memory edges. */
+Loop
+rawLoop(const std::vector<std::pair<Opcode, std::vector<Operand>>>& ops,
+        const std::vector<DepEdge>& memory = {})
+{
+    Loop loop("raw");
+    for (const auto& [opcode, inputs] : ops) {
+        Operation op;
+        op.opcode = opcode;
+        op.inputs = inputs;
+        loop.addOperation(std::move(op));
+    }
+    for (const DepEdge& edge : memory)
+        loop.addMemoryEdge(edge.from, edge.to, edge.distance);
+    return loop;
+}
+
+TEST(LoopVerifyTest, NamesTheFirstCycleTheWalkCloses)
+{
+    // Two distance-0 cycles leave op 1: 1 -> 2 -> 1, closed only by the
+    // memory edge from the store back to the load, and 3 -> 4 -> 3,
+    // entered over the memory edge 1 -> 3 and closed by the memory edge
+    // 4 -> 3.  The walk starts at op 0 and takes each op's data
+    // successors (in operand order) before its memory ones, so it
+    // closes the first cycle, at op 1.
+    const Loop memory = rawLoop(
+        {{Opcode::kConst, {}},
+         {Opcode::kLoad, {{0, 0}}},
+         {Opcode::kStore, {{0, 0}, {1, 0}}},
+         {Opcode::kLoad, {{0, 0}}},
+         {Opcode::kStore, {{0, 0}, {3, 0}}}},
+        {{1, 3, 0, true}, {2, 1, 0, true}, {4, 3, 0, true}});
+    EXPECT_EQ(memory.verify(),
+              "distance-0 dependence cycle through op 1");
+
+    // Roots go in id order: the data cycle 0 <-> 1 is found before the
+    // memory-closed one at ops 3 and 4.
+    const Loop data = rawLoop(
+        {{Opcode::kAdd, {{1, 0}}},
+         {Opcode::kAdd, {{0, 0}}},
+         {Opcode::kConst, {}},
+         {Opcode::kLoad, {{2, 0}}},
+         {Opcode::kStore, {{2, 0}, {3, 0}}}},
+        {{4, 3, 0, true}});
+    EXPECT_EQ(data.verify(), "distance-0 dependence cycle through op 0");
+
+    // A finished op is not a cycle: root 0 finishes 0 -> 1 -> 2 and
+    // 0 -> 6 -> 7, and root 3 passes finished op 1 before it closes
+    // 3 -> 4 -> 5 -> 3.  The carried data edge 2 -> 0 and the carried
+    // memory edge 7 -> 6 close nothing.
+    const Loop finished = rawLoop(
+        {{Opcode::kAdd, {{2, 1}}},
+         {Opcode::kAdd, {{0, 0}, {3, 0}}},
+         {Opcode::kAdd, {{1, 0}}},
+         {Opcode::kAdd, {{5, 0}}},
+         {Opcode::kAdd, {{3, 0}}},
+         {Opcode::kAdd, {{4, 0}}},
+         {Opcode::kLoad, {{0, 0}}},
+         {Opcode::kStore, {{0, 0}, {6, 0}}}},
+        {{7, 6, 1, true}});
+    EXPECT_EQ(finished.verify(),
+              "distance-0 dependence cycle through op 3");
 }
 
 TEST(LoopVerifyTest, AcceptsCarriedCycle)

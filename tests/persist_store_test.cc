@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "veal/fault/faulty_vfs.h"
+#include "veal/sim/cpu_sim.h"
+#include "veal/support/fnv.h"
 #include "veal/support/metrics/metrics.h"
 #include "veal/vm/persist/manifest_log.h"
 
@@ -250,6 +252,63 @@ TEST_F(PersistStoreTest, CorruptRecordIsDroppedCountedAndCommitted)
     EXPECT_FALSE(store.contains("bad"));
     EXPECT_EQ(store.stats().corrupt, 0);
     EXPECT_TRUE(store.load("good").has_value());
+}
+
+TEST_F(PersistStoreTest, InconsistentProfileSectionIsDroppedAsCorrupt)
+{
+    // Rewrite the first total of a version-3 record in place, with both
+    // the blob's and the segment record's checksums recomputed, so only
+    // the decoder's consistency check stands between it and a serve.
+    std::int64_t totals[kCpuSimIterations];
+    for (int k = 0; k < kCpuSimIterations; ++k)
+        totals[k] = 10 + k;  // Every rise, and the tail, is one LEB byte.
+    PersistedImage image = makeImage("profiled");
+    image.cpu_profile = CpuProfile(totals, 32);
+    {
+        PersistentStore store(dir(), StoreOptions{});
+        ASSERT_TRUE(store.save(image));
+    }
+    const auto rewrite_first_total = [&](char first) {
+        const PersistentStore store(dir(), StoreOptions{});
+        const auto location = store.recordLocation("profiled");
+        ASSERT_TRUE(location.has_value());
+        std::fstream file(location->path, std::ios::in | std::ios::out |
+                                              std::ios::binary);
+        std::vector<char> blob(static_cast<std::size_t>(location->length));
+        file.seekg(location->offset);
+        file.read(blob.data(), location->length);
+        ASSERT_EQ(blob[4], static_cast<char>(kBlobVersionProfile));
+        blob[blob.size() - 1 - kCpuSimIterations] = first;
+        const auto seal = [](char* at, std::uint64_t checksum) {
+            for (int byte = 0; byte < 8; ++byte)
+                at[byte] = static_cast<char>(checksum >> (byte * 8));
+        };
+        seal(blob.data() + 8, fnvBytes(blob.data() + 16, blob.size() - 16));
+        char record_checksum[8];
+        seal(record_checksum, fnvBytes(blob.data(), blob.size()));
+        file.seekp(location->offset - 8);
+        file.write(record_checksum, 8);
+        file.write(blob.data(), location->length);
+    };
+
+    // A consistent rewrite loads: the reseal itself is sound.
+    rewrite_first_total(9);
+    {
+        PersistentStore store(dir(), StoreOptions{});
+        const auto loaded = store.load("profiled");
+        ASSERT_TRUE(loaded.has_value());
+        EXPECT_EQ(loaded->cpu_profile.totalAt(1), 9);
+        EXPECT_EQ(store.stats().corrupt, 0);
+    }
+
+    // A first total of 0 is dropped and counted like any corruption.
+    rewrite_first_total(0);
+    metrics::Registry registry;
+    PersistentStore store(dir(), StoreOptions{}, &registry);
+    EXPECT_FALSE(store.load("profiled").has_value());
+    EXPECT_EQ(store.stats().corrupt, 1);
+    EXPECT_EQ(registry.counter("vm.persist.corrupt"), 1);
+    EXPECT_FALSE(store.contains("profiled"));
 }
 
 TEST_F(PersistStoreTest, ScanRebuildSkipsACorruptRecordAndStaysClean)

@@ -3,9 +3,9 @@
  * keys at iteration counts that cross the CPU model's 96-iteration
  * window in rising and falling order, served across ticks, within one
  * tick (coalesced), on a quarantined pair under a fault stream, and
- * from the persistent store after a restart.  Every outcome's
- * cpu_cycles must equal the frozen reference model, and reports must
- * stay byte-identical across the shard/thread/batch shape.
+ * from the persistent store's profiles after a restart.  Every
+ * outcome's cpu_cycles must equal the frozen reference model, and
+ * reports must stay byte-identical across the shard/thread/batch shape.
  */
 
 #include <algorithm>
@@ -23,6 +23,8 @@
 #include "veal/service/trace.h"
 #include "veal/sim/reference.h"
 #include "veal/support/metrics/metrics.h"
+#include "veal/vm/persist/blob.h"
+#include "veal/vm/persist/store.h"
 
 namespace veal {
 namespace {
@@ -40,8 +42,8 @@ constexpr int kTenants = 3;
 
 /**
  * Key k of the (seed, mode) keys asks at kCrossing[(t + k) % n] in tick
- * t, so the keys' profiles sit at different lengths when later counts
- * fall below or rise past them; even ticks add a twin from the next
+ * t, so each key is first seen at a different count and later counts
+ * fall below or rise past it; even ticks add a twin from the next
  * tenant at the following count (coalesced on the key's cold tick,
  * warm later).
  */
@@ -134,7 +136,8 @@ replay(const ServiceTrace& trace, const Shape& shape,
         for (const TraceRequest& request : tick) {
             const std::string key = traceRequestKey(request);
             if (const auto entry = service.warmTier().find(key))
-                out.profile_lengths[key] = entry->cpu_profile.length();
+                out.profile_lengths[key] =
+                    static_cast<int>(entry->cpu_profile.totals().size());
         }
     }
     return out;
@@ -187,8 +190,9 @@ TEST(ServiceCpuPricing, CrossingCountsAcrossAndWithinTicksMatchTheReference)
     EXPECT_GT(narrow.report.coalesced, 0) << "same-tick twins coalesce";
     EXPECT_GT(narrow.report.warm, 0) << "later ticks serve warm";
 
-    // Every key saw a count past the window, so its entry ends with the
-    // full profile -- negative entries (rejected translations) too.
+    // Every key's first sight simulated the full window, so its entry
+    // holds the full profile -- negative entries (rejected translations)
+    // too.
     EXPECT_FALSE(narrow.report.rejects.empty());
     ASSERT_EQ(narrow.profile_lengths.size(), 2 * std::size(kSeeds));
     for (const auto& [key, length] : narrow.profile_lengths)
@@ -197,17 +201,19 @@ TEST(ServiceCpuPricing, CrossingCountsAcrossAndWithinTicksMatchTheReference)
     expectShapeInvariant(narrow, replay(trace, {8, 8, 3}));
 }
 
-TEST(ServiceCpuPricing, ProfilesOnlyEverGrow)
+TEST(ServiceCpuPricing, FirstSimulationLeavesAFullProfile)
 {
-    // One key, one request per tick: the entry's profile follows the
-    // longest run so far and never shrinks.
+    // One key, one request per tick: the first request's lane steps the
+    // full window whatever its count, so the entry's profile is full
+    // from the first tick on, prices every later count, and is never
+    // replaced.
     ServiceOptions options;
     TranslationService service(options);
     TraceRequest stub;
     stub.loop_seed = kSeeds[0];
     const std::string key = traceRequestKey(stub);
     const Loop loop = makeTraceLoop(kSeeds[0]);
-    int longest = 0;
+    const std::int32_t* first_totals = nullptr;
     for (const std::int64_t iterations : kCrossing) {
         ServiceRequest request;
         request.loop = loop;
@@ -215,12 +221,14 @@ TEST(ServiceCpuPricing, ProfilesOnlyEverGrow)
         request.iterations = iterations;
         service.submit(std::move(request));
         service.drainTick();
-        longest = std::max(longest,
-                           static_cast<int>(std::min<std::int64_t>(
-                               iterations, kCpuSimIterations)));
         const auto entry = service.warmTier().find(key);
         ASSERT_NE(entry, nullptr);
-        EXPECT_EQ(entry->cpu_profile.length(), longest)
+        ASSERT_EQ(entry->cpu_profile.totals().size(),
+                  static_cast<std::size_t>(kCpuSimIterations))
+            << "after " << iterations << " iterations";
+        if (first_totals == nullptr)
+            first_totals = entry->cpu_profile.totals().data();
+        EXPECT_EQ(entry->cpu_profile.totals().data(), first_totals)
             << "after " << iterations << " iterations";
         EXPECT_EQ(service.lastTickOutcomes()[0].cpu_cycles,
                   reference::simulateLoopOnCpu(loop, options.cpu,
@@ -261,8 +269,9 @@ TEST(ServiceCpuPricing, PersistedServesAfterARestartMatchTheReference)
     expectReferenceCpuCycles(trace, cold);
     EXPECT_EQ(cold.report.persisted, 0);
 
-    // Profiles are not persisted: the restart's first sights simulate,
-    // and later ticks price from the rehydrated entries' new profiles.
+    // Profiles are persisted: the restart prices each key's first
+    // sight from its blob's profile, and later ticks from the
+    // rehydrated entry, which took the blob's profile along.
     const Replay warm = replay(trace, {1, 1, 1}, std::nullopt, 2,
                                dir.string());
     EXPECT_GT(warm.report.persisted, 0);
@@ -272,6 +281,70 @@ TEST(ServiceCpuPricing, PersistedServesAfterARestartMatchTheReference)
     const Replay wide = replay(trace, {8, 8, 3}, std::nullopt, 2,
                                dir.string());
     expectShapeInvariant(warm, wide);
+    fs::remove_all(dir);
+}
+
+TEST(ServiceCpuPricing, RestartPricesFromTheStoredProfileOfItsOwnCpu)
+{
+    // A cold run persists one key; its record is then re-saved with a
+    // crafted profile -- consistent, but no loop's.  A restart that
+    // prices the key at the crafted totals read them from the store: a
+    // simulation would have priced the reference.  Saved under another
+    // CPU's signature, the same record is ignored.
+    const fs::path dir =
+        fs::temp_directory_path() / "veal-service-stored-profile";
+    fs::remove_all(dir);
+    ServiceTrace trace;
+    TraceRequest request;
+    request.loop_seed = kSeeds[0];
+    request.iterations = 5;
+    trace.ticks.push_back({request});
+    const std::string key = traceRequestKey(request);
+    const CpuConfig cpu = ServiceOptions{}.cpu;
+    replay(trace, {1, 1, 1}, std::nullopt, 2, dir.string());
+
+    std::int64_t totals[kCpuSimIterations];
+    for (int k = 0; k < kCpuSimIterations; ++k)
+        totals[k] = 1000 * (k + 1) + 7;
+    const CpuProfile crafted(totals, 32 * 999);
+
+    ServiceTrace restart;
+    for (const std::int64_t iterations : {1, 5, 64, 96, 97, 100000}) {
+        request.iterations = iterations;
+        restart.ticks.push_back({request});
+    }
+    const Loop loop = makeTraceLoop(kSeeds[0]);
+    for (const bool own_cpu : {true, false}) {
+        {
+            persist::PersistentStore store(dir.string(), {});
+            std::optional<persist::PersistedImage> record = store.load(key);
+            ASSERT_TRUE(record.has_value());
+            ASSERT_FALSE(record->cpu_profile.empty())
+                << "the cold run persisted its profile";
+            ASSERT_EQ(record->cpu_signature, persist::cpuSignature(cpu));
+            record->cpu_profile = crafted;
+            record->cpu_signature = persist::cpuSignature(
+                own_cpu ? cpu : CpuConfig::cortexA8());
+            ASSERT_TRUE(store.save(*record));
+        }
+        const Replay warm =
+            replay(restart, {1, 1, 1}, std::nullopt, 2, dir.string());
+        ASSERT_EQ(warm.outcomes.size(), restart.ticks.size());
+        EXPECT_EQ(warm.outcomes[0].cache, CacheOutcome::kPersisted);
+        for (std::size_t t = 0; t < restart.ticks.size(); ++t) {
+            const std::int64_t iterations = restart.ticks[t][0].iterations;
+            const std::int64_t expected =
+                own_cpu ? crafted.totalAt(iterations)
+                        : reference::simulateLoopOnCpu(loop, cpu, iterations)
+                              .total_cycles;
+            ASSERT_NE(crafted.totalAt(iterations),
+                      reference::simulateLoopOnCpu(loop, cpu, iterations)
+                          .total_cycles);
+            EXPECT_EQ(warm.outcomes[t].cpu_cycles, expected)
+                << (own_cpu ? "own" : "other") << " CPU, iterations "
+                << iterations;
+        }
+    }
     fs::remove_all(dir);
 }
 

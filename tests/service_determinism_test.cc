@@ -7,8 +7,8 @@
  * stream armed, so corruption/degradation under concurrency is held to
  * the same standard, and every request carries its own iteration count
  * drawn across the CPU model's 96-iteration window, so the memoized
- * CPU profiles are built short, extended, and extrapolated under every
- * shape.
+ * full-window CPU profiles are read inside the window and extrapolated
+ * past it under every shape.
  */
 
 #include <cstdint>

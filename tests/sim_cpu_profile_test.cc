@@ -1,11 +1,12 @@
 /**
- * The CpuProfile contract: one simulated run of L iterations prices
- * every trip count N <= L -- and, once L is the model's full
- * 96-iteration window, every N at all -- bit-identically to the frozen
- * reference::simulateLoopOnCpu.  Swept over the 1,000 seeded random
- * loops of the batch-equivalence battery on all three baseline CPUs,
- * plus the one-lane simulateLoopOnCpu entry point and the 32-bit
- * narrowing check.
+ * The CpuProfile contract: a profiled simulateCpuBatch() lane steps the
+ * model's full 96-iteration window whatever its own trip count, so its
+ * profile prices every trip count bit-identically to the frozen
+ * reference::simulateLoopOnCpu, while its timing stays the reference's
+ * at its own count.  Swept over the 1,000 seeded random loops of the
+ * batch-equivalence battery on all three baseline CPUs, plus the
+ * one-lane simulateLoopOnCpu entry point and the 32-bit narrowing
+ * check.
  */
 
 #include <gtest/gtest.h>
@@ -27,10 +28,10 @@ namespace {
 constexpr std::uint64_t kCampaignSeed = 0xba7c4ull;
 constexpr int kLoops = 1000;
 
-/** Profile lengths around the model's 64- and 96-iteration seams. */
+/** Lane trip counts around the model's 64- and 96-iteration seams. */
 constexpr int kLengths[] = {1, 31, 63, 64, 65, 95, 96};
 
-/** Trip counts a full profile must extrapolate to. */
+/** Trip counts past the window, which a profile extrapolates to. */
 constexpr std::int64_t kBeyond[] = {97, 128, 512, 10000,
                                     std::int64_t{1} << 20};
 
@@ -52,8 +53,8 @@ TEST_P(CpuProfileTest, PrefixRunsPriceEveryCoveredTripLikeTheReference)
     const std::vector<Loop> loops =
         testing::caseLoops(kCampaignSeed, kLoops);
 
-    // One batch call per length; profiles[l][i] is loop i's run of
-    // kLengths[l] iterations.
+    // One batch call per lane trip count; profiles[l][i] is loop i's
+    // profile from a lane of kLengths[l] iterations.
     BatchSimulator simulator;
     std::vector<std::vector<CpuProfile>> profiles(std::size(kLengths));
     for (std::size_t l = 0; l < std::size(kLengths); ++l) {
@@ -64,50 +65,69 @@ TEST_P(CpuProfileTest, PrefixRunsPriceEveryCoveredTripLikeTheReference)
         ASSERT_EQ(profiles[l].size(), loops.size());
     }
 
+    // Every lane ran the full window, so every profile, whatever its
+    // lane's count, covers and prices every trip count.
+    std::vector<std::int64_t> trips;
+    for (std::int64_t n = 1; n <= kCpuSimIterations; ++n)
+        trips.push_back(n);
+    trips.insert(trips.end(), std::begin(kBeyond), std::end(kBeyond));
     for (int i = 0; i < kLoops; ++i) {
         const Loop& loop = loops[static_cast<std::size_t>(i)];
-        for (std::int64_t n = 1; n <= kCpuSimIterations; ++n) {
+        for (std::size_t l = 0; l < std::size(kLengths); ++l) {
+            const CpuProfile& profile =
+                profiles[l][static_cast<std::size_t>(i)];
+            ASSERT_EQ(profile.totals().size(),
+                      static_cast<std::size_t>(kCpuSimIterations))
+                << "case " << i << " lane of " << kLengths[l];
+            ASSERT_FALSE(profile.covers(0));
+        }
+        for (const std::int64_t n : trips) {
             const std::int64_t expected =
                 reference::simulateLoopOnCpu(loop, cpu, n).total_cycles;
             for (std::size_t l = 0; l < std::size(kLengths); ++l) {
                 const CpuProfile& profile =
                     profiles[l][static_cast<std::size_t>(i)];
-                ASSERT_EQ(profile.length(), kLengths[l]) << "case " << i;
-                if (n > kLengths[l])
-                    continue;
                 ASSERT_TRUE(profile.covers(n));
                 ASSERT_EQ(profile.totalAt(n), expected)
-                    << "case " << i << " length " << kLengths[l]
+                    << "case " << i << " lane of " << kLengths[l]
                     << " trips " << n;
             }
-        }
-        const CpuProfile& full = profiles.back()[static_cast<std::size_t>(i)];
-        for (const std::int64_t n : kBeyond) {
-            ASSERT_TRUE(full.covers(n));
-            ASSERT_EQ(full.totalAt(n),
-                      reference::simulateLoopOnCpu(loop, cpu, n).total_cycles)
-                << "case " << i << " trips " << n;
         }
     }
 }
 
-TEST_P(CpuProfileTest, ShortRunsCoverNothingPastTheirLength)
+TEST_P(CpuProfileTest, ProfiledLanesTimeLikeTheReferenceBitForBit)
 {
+    // Stepping past its own count must not move a lane's timing: total
+    // cycles and cycles per iteration equal the reference's at the
+    // lane's count, with and without profiles.
     const CpuConfig cpu = cpuNamed(GetParam());
-    const std::vector<Loop> loops = testing::caseLoops(kCampaignSeed, 50);
-    for (const int length : kLengths) {
+    const std::vector<Loop> loops =
+        testing::caseLoops(kCampaignSeed, kLoops);
+    std::vector<std::int64_t> counts(std::begin(kLengths),
+                                     std::end(kLengths));
+    counts.insert(counts.end(), std::begin(kBeyond), std::end(kBeyond));
+    BatchSimulator simulator;
+    std::vector<CpuProfile> profiles;
+    for (const std::int64_t n : counts) {
         std::vector<CpuSimRequest> lanes;
         for (const Loop& loop : loops)
-            lanes.push_back({&loop, length});
-        std::vector<CpuProfile> profiles;
-        BatchSimulator().simulateCpuBatch(cpu, lanes, &profiles);
-        for (const CpuProfile& profile : profiles) {
-            EXPECT_FALSE(profile.covers(0));
-            EXPECT_TRUE(profile.covers(length));
-            const bool full = length == kCpuSimIterations;
-            EXPECT_EQ(profile.covers(length + 1), full) << length;
-            EXPECT_EQ(profile.covers(std::int64_t{1} << 20), full)
-                << length;
+            lanes.push_back({&loop, n});
+        const auto profiled = simulator.simulateCpuBatch(cpu, lanes, &profiles);
+        const auto plain = simulator.simulateCpuBatch(cpu, lanes);
+        for (int i = 0; i < kLoops; ++i) {
+            const auto u = static_cast<std::size_t>(i);
+            const CpuLoopTiming frozen =
+                reference::simulateLoopOnCpu(loops[u], cpu, n);
+            for (const CpuLoopTiming& live : {profiled[u], plain[u]}) {
+                ASSERT_EQ(live.total_cycles, frozen.total_cycles)
+                    << "case " << i << " trips " << n;
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                              live.cycles_per_iteration),
+                          std::bit_cast<std::uint64_t>(
+                              frozen.cycles_per_iteration))
+                    << "case " << i << " trips " << n;
+            }
         }
     }
 }
@@ -143,7 +163,7 @@ INSTANTIATE_TEST_SUITE_P(Cpus, CpuProfileTest,
 TEST(CpuProfile, EmptyProfileCoversNothing)
 {
     const CpuProfile empty;
-    EXPECT_EQ(empty.length(), 0);
+    EXPECT_TRUE(empty.empty());
     EXPECT_FALSE(empty.covers(1));
     EXPECT_FALSE(empty.covers(kCpuSimIterations));
     EXPECT_FALSE(empty.covers(std::int64_t{1} << 20));
@@ -152,7 +172,9 @@ TEST(CpuProfile, EmptyProfileCoversNothing)
 TEST(CpuProfile, RunPastThirtyTwoBitsIsNotMemoized)
 {
     // A load-to-store chain on a core whose loads take 2^30 cycles: the
-    // second iteration already completes past INT32_MAX.
+    // second iteration already completes past INT32_MAX, so the full
+    // window a profiled lane steps overflows even for a one-iteration
+    // lane, whose own timing still fits.
     LoopBuilder b("slow-load");
     const OpId iv = b.induction(1);
     b.store("out", iv, b.load("in", iv));
@@ -168,17 +190,12 @@ TEST(CpuProfile, RunPastThirtyTwoBitsIsNotMemoized)
         EXPECT_EQ(timings[0].total_cycles,
                   reference::simulateLoopOnCpu(loop, cpu, length)
                       .total_cycles);
+        EXPECT_EQ(timings[0].total_cycles > std::int64_t{0x7fffffff},
+                  length > 1);
         ASSERT_EQ(profiles.size(), 1u);
-        if (length == 1) {
-            ASSERT_EQ(profiles[0].length(), 1) << "one iteration fits";
-            EXPECT_EQ(profiles[0].totalAt(1), timings[0].total_cycles);
-        } else {
-            EXPECT_GT(timings[0].total_cycles,
-                      std::int64_t{0x7fffffff});
-            EXPECT_EQ(profiles[0].length(), 0)
-                << "a run past 32 bits must not be memoized";
-            EXPECT_FALSE(profiles[0].covers(1));
-        }
+        EXPECT_TRUE(profiles[0].empty())
+            << "a run past 32 bits must not be memoized";
+        EXPECT_FALSE(profiles[0].covers(1));
     }
 }
 

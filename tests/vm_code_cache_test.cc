@@ -21,8 +21,8 @@ TEST(CodeCacheTest, MissThenHit)
     EXPECT_FALSE(cache.lookup("a"));
     cache.insert("a");
     EXPECT_TRUE(cache.lookup("a"));
-    EXPECT_EQ(cache.misses(), 1);
-    EXPECT_EQ(cache.hits(), 1);
+    EXPECT_EQ(cache.stats().misses, 1);
+    EXPECT_EQ(cache.stats().hits, 1);
 }
 
 TEST(CodeCacheTest, EvictsLeastRecentlyUsed)
@@ -64,7 +64,7 @@ TEST(CodeCacheTest, CapacityIsRespected)
     for (int i = 0; i < 100; ++i)
         cache.insert("loop" + std::to_string(i));
     EXPECT_EQ(cache.size(), 16);
-    EXPECT_EQ(cache.capacity(), 16);
+    EXPECT_EQ(cache.stats().capacity, 16);
     // The 16 most recent survive.
     for (int i = 84; i < 100; ++i)
         EXPECT_TRUE(cache.lookup("loop" + std::to_string(i)));
@@ -81,8 +81,8 @@ TEST(CodeCacheTest, WorkingSetWithinCapacityNeverThrashes)
         }
     }
     // 8 compulsory misses, everything else hits.
-    EXPECT_EQ(cache.misses(), 8);
-    EXPECT_EQ(cache.hits(), 72);
+    EXPECT_EQ(cache.stats().misses, 8);
+    EXPECT_EQ(cache.stats().hits, 72);
 }
 
 TEST(CodeCacheTest, WorkingSetBeyondCapacityThrashesUnderLru)
@@ -96,8 +96,8 @@ TEST(CodeCacheTest, WorkingSetBeyondCapacityThrashesUnderLru)
         }
     }
     // Round-robin over 5 keys with 4 LRU slots: every access misses.
-    EXPECT_EQ(cache.hits(), 0);
-    EXPECT_EQ(cache.misses(), 25);
+    EXPECT_EQ(cache.stats().hits, 0);
+    EXPECT_EQ(cache.stats().misses, 25);
 }
 
 TEST(CodeCacheTest, InsertReportsWhatActuallyHappened)
@@ -107,7 +107,7 @@ TEST(CodeCacheTest, InsertReportsWhatActuallyHappened)
     EXPECT_EQ(cache.insert("a"), CodeCache::InsertOutcome::kRefreshed);
     EXPECT_EQ(cache.insert("b"), CodeCache::InsertOutcome::kInserted);
     // Full cache: a genuinely new key still reports kInserted (the
-    // eviction is visible in evictions(), not the outcome).
+    // eviction is visible in stats().evictions, not the outcome).
     EXPECT_EQ(cache.insert("c"), CodeCache::InsertOutcome::kInserted);
 }
 
@@ -116,14 +116,14 @@ TEST(CodeCacheTest, CountsEvictionsButNotRefreshes)
     CodeCache cache(2);
     cache.insert("a");
     cache.insert("b");
-    EXPECT_EQ(cache.evictions(), 0);
+    EXPECT_EQ(cache.stats().evictions, 0);
     cache.insert("a");  // Refresh of a resident key: never evicts.
-    EXPECT_EQ(cache.evictions(), 0);
+    EXPECT_EQ(cache.stats().evictions, 0);
     cache.insert("c");  // Evicts b (a was refreshed above).
-    EXPECT_EQ(cache.evictions(), 1);
+    EXPECT_EQ(cache.stats().evictions, 1);
     EXPECT_FALSE(cache.lookup("b"));
     cache.insert("d");
-    EXPECT_EQ(cache.evictions(), 2);
+    EXPECT_EQ(cache.stats().evictions, 2);
 }
 
 TEST(CodeCacheTest, StatsSnapshotMatchesAccessors)
@@ -135,9 +135,10 @@ TEST(CodeCacheTest, StatsSnapshotMatchesAccessors)
     cache.insert("b");
     cache.insert("c");  // evicts a
     const CodeCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, cache.hits());
-    EXPECT_EQ(stats.misses, cache.misses());
+    EXPECT_EQ(stats.hits, 1);
+    EXPECT_EQ(stats.misses, 1);
     EXPECT_EQ(stats.evictions, 1);
+    EXPECT_EQ(stats.size, cache.size());
     EXPECT_EQ(stats.size, 2);
     EXPECT_EQ(stats.capacity, 2);
 }
@@ -191,12 +192,12 @@ TEST(CodeCacheTest, EraseIsNotAnEvictionAndNeverTouchesTheBuffer)
     cache.insert("b", &evicted);
     EXPECT_TRUE(cache.erase("a"));
     EXPECT_FALSE(cache.erase("zzz"));
-    EXPECT_EQ(cache.evictions(), 0)
+    EXPECT_EQ(cache.stats().evictions, 0)
         << "invalidation must not count as capacity pressure";
     // The slot freed by erase absorbs the next insert evictionlessly.
     cache.insert("c", &evicted);
     EXPECT_TRUE(evicted.empty());
-    EXPECT_EQ(cache.evictions(), 0);
+    EXPECT_EQ(cache.stats().evictions, 0);
 }
 
 TEST(CodeCacheDeathTest, ZeroCapacityPanics)
@@ -249,8 +250,8 @@ TEST(CodeCacheCorpusTest, ResidentCorpusWorkingSetTranslatesOnce)
     }
     // One compulsory translation per loop; every later invocation hits.
     EXPECT_EQ(translations, static_cast<int>(corpus.size()));
-    EXPECT_EQ(cache.misses(), static_cast<std::int64_t>(corpus.size()));
-    EXPECT_EQ(cache.hits(),
+    EXPECT_EQ(cache.stats().misses, static_cast<std::int64_t>(corpus.size()));
+    EXPECT_EQ(cache.stats().hits,
               static_cast<std::int64_t>(3 * corpus.size()));
 }
 
@@ -285,7 +286,7 @@ TEST(CodeCacheCorpusTest, CapacityPressureForcesRetranslation)
         }
     }
     EXPECT_EQ(translations, static_cast<int>(2 * corpus.size()));
-    EXPECT_EQ(cache.hits(), 0);
+    EXPECT_EQ(cache.stats().hits, 0);
 }
 
 TEST(CodeCacheCorpusTest, RetranslationIsFullyDeterministic)
