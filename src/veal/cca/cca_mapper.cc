@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "veal/fault/fault_injector.h"
 #include "veal/ir/scc.h"
 #include "veal/support/assert.h"
 
@@ -372,18 +371,9 @@ emptyCcaMapping(const Loop& loop)
 
 CcaMapping
 mapToCca(const Loop& loop, const LoopAnalysis& analysis, const CcaSpec& spec,
-         const LatencyModel& latencies, CostMeter* meter,
-         FaultInjector* faults)
+         const LatencyModel& latencies, CostMeter* meter)
 {
     CcaMapping mapping = emptyCcaMapping(loop);
-
-    // Injection site: one probe per mapping run.  A fired probe aborts
-    // subgraph identification; the caller sees fault_failed and rejects.
-    if (faults != nullptr && faults->probe(FaultSite::kCcaMapping)) {
-        mapping.fault_failed = true;
-        return mapping;
-    }
-
     const int n = loop.size();
 
     // Recurrence structure for the "don't lengthen a cycle" rule.

@@ -22,8 +22,6 @@
 
 namespace veal {
 
-class FaultInjector;
-
 /** One collapsed subgraph: executes atomically as a single CCA op. */
 struct CcaGroup {
     /** Member ops, ascending.  Always >= 2 members. */
@@ -37,14 +35,6 @@ struct CcaMapping {
 
     /** Per-op group index, or -1. */
     std::vector<int> group_of_op;
-
-    /**
-     * An injected FaultSite::kCcaMapping fault aborted the mapping (the
-     * groups are empty).  The translator turns this into a
-     * TranslationReject::kCcaMapping so the VM's degradation ladder can
-     * retry with CCA subgraphs disabled.
-     */
-    bool fault_failed = false;
 
     /** Ops covered by groups (for the Figure 8 style statistics). */
     int
@@ -65,14 +55,10 @@ struct CcaMapping {
  * @param spec      the CCA design present in the target LA.
  * @param latencies accelerator latencies (for the recurrence rule).
  * @param meter     optional cost meter charged under kCcaMapping.
- * @param faults    optional injector probed once per call at
- *        FaultSite::kCcaMapping; a fired probe returns an empty mapping
- *        with fault_failed set.
  */
 CcaMapping mapToCca(const Loop& loop, const LoopAnalysis& analysis,
                     const CcaSpec& spec, const LatencyModel& latencies,
-                    CostMeter* meter = nullptr,
-                    FaultInjector* faults = nullptr);
+                    CostMeter* meter = nullptr);
 
 /** An empty mapping (used when the LA has no CCA). */
 CcaMapping emptyCcaMapping(const Loop& loop);

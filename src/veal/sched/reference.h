@@ -61,8 +61,8 @@ NodeOrder computeHeightOrder(const SchedGraph& graph, int ii,
 
 /**
  * The original modulo list scheduler: per-II MRT reallocation,
- * check-then-set reservations.  No fault injection -- the facade is an
- * oracle, not a production path.
+ * check-then-set reservations.  The facade is an oracle, not a
+ * production path.
  */
 std::optional<Schedule> scheduleLoop(const SchedGraph& graph,
                                      const LaConfig& config,

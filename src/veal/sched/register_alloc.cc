@@ -1,6 +1,5 @@
 #include "veal/sched/register_alloc.h"
 
-#include "veal/fault/fault_injector.h"
 #include "veal/support/assert.h"
 
 namespace veal {
@@ -9,18 +8,9 @@ RegisterAssignment
 assignRegisters(const Loop& loop,
                 [[maybe_unused]] const LoopAnalysis& analysis,
                 const SchedGraph& graph, const Schedule& schedule,
-                const LaConfig& config, CostMeter* meter,
-                FaultInjector* faults)
+                const LaConfig& config, CostMeter* meter)
 {
     RegisterAssignment result;
-
-    // Injection site: one probe per mapping attempt.  A fired probe
-    // reports the same failure shape as genuinely full register files.
-    if (faults != nullptr &&
-        faults->probe(FaultSite::kRegisterAllocation)) {
-        result.fail_reason = "injected register-allocation fault";
-        return result;
-    }
     const int num_units = graph.numUnits();
     result.reg_of_unit.assign(static_cast<std::size_t>(num_units), -1);
     result.reg_of_source_op.assign(static_cast<std::size_t>(loop.size()),

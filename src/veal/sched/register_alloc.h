@@ -25,8 +25,6 @@
 
 namespace veal {
 
-class FaultInjector;
-
 /** Result of the one-to-one operand mapping. */
 struct RegisterAssignment {
     bool ok = false;
@@ -46,18 +44,13 @@ struct RegisterAssignment {
  * Map operands onto the register files.
  *
  * @param meter  optional cost meter charged under kRegisterAssignment.
- * @param faults optional injector probed once per call at
- *        FaultSite::kRegisterAllocation; a fired probe fails the
- *        mapping as if the files were full (the translator's larger-II
- *        retry and the VM's degradation ladder recover).
  */
 RegisterAssignment assignRegisters(const Loop& loop,
                                    const LoopAnalysis& analysis,
                                    const SchedGraph& graph,
                                    const Schedule& schedule,
                                    const LaConfig& config,
-                                   CostMeter* meter = nullptr,
-                                   FaultInjector* faults = nullptr);
+                                   CostMeter* meter = nullptr);
 
 }  // namespace veal
 

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "veal/fault/fault_injector.h"
 #include "veal/sched/mii.h"
 #include "veal/support/assert.h"
 
@@ -238,19 +237,10 @@ tryIi(const SchedGraph& graph, const LaConfig& config,
 std::optional<Schedule>
 scheduleLoop(const SchedGraph& graph, const LaConfig& config,
              const NodeOrder& order, int min_ii, CostMeter* meter,
-             SchedulerStats* stats, FaultInjector* faults)
+             SchedulerStats* stats)
 {
     VEAL_ASSERT(static_cast<int>(order.sequence.size()) ==
                 graph.numUnits(), "order does not cover the graph");
-
-    // Injection site: one probe per II search.  A fired probe models a
-    // placement failure the search cannot recover from at any II.
-    if (faults != nullptr &&
-        faults->probe(FaultSite::kSchedulerPlacement)) {
-        if (stats != nullptr)
-            ++stats->placement_failures;
-        return std::nullopt;
-    }
 
     int start_ii = std::max(min_ii, 1);
     for (const auto& unit : graph.units()) {

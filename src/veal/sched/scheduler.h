@@ -22,8 +22,6 @@
 
 namespace veal {
 
-class FaultInjector;
-
 /**
  * How hard the II search worked -- the observability layer's view of the
  * scheduler (reported as vm.sched.* counters and the vm.ii histogram).
@@ -40,17 +38,13 @@ struct SchedulerStats {
  * @param min_ii usually max(ResMII, RecMII).
  * @param meter  optional cost meter charged under kScheduling.
  * @param stats  optional search-effort accumulator (added to, not reset).
- * @param faults optional injector probed once per call at
- *        FaultSite::kSchedulerPlacement; a fired probe fails the whole
- *        II search (the hardened VM's degradation ladder recovers).
  * @return the schedule, or std::nullopt when no II <= config.max_ii works.
  */
 std::optional<Schedule> scheduleLoop(const SchedGraph& graph,
                                      const LaConfig& config,
                                      const NodeOrder& order, int min_ii,
                                      CostMeter* meter = nullptr,
-                                     SchedulerStats* stats = nullptr,
-                                     FaultInjector* faults = nullptr);
+                                     SchedulerStats* stats = nullptr);
 
 }  // namespace veal
 

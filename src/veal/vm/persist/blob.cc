@@ -173,7 +173,6 @@ toString(BlobError error)
       case BlobError::kVersionSkew: return "version-skew";
       case BlobError::kChecksum: return "checksum";
       case BlobError::kMalformed: return "malformed";
-      case BlobError::kIoError: return "io-error";
     }
     return "unknown";
 }

@@ -169,15 +169,6 @@ enum class BlobError : int {
     kVersionSkew,    ///< Future (or retired) format version.
     kChecksum,       ///< Payload bytes corrupt.
     kMalformed,      ///< Checksummed OK but fields are inconsistent.
-
-    /**
-     * The bytes could not be *read* (failed read, short write, ENOSPC,
-     * vanished file) -- an I/O failure, not corruption.  The store
-     * counts these as `vm.persist.io_error` and keeps the entry (the
-     * next read may succeed), unlike the corruption errors above which
-     * drop it.
-     */
-    kIoError,
 };
 
 /** Error name, e.g. "version-skew". */

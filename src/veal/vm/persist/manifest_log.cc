@@ -88,6 +88,19 @@ parseBody(const std::string& body)
         record.key = *unescaped;
         return record;
     }
+    if (word == "end") {
+        record.kind = ManifestRecord::Kind::kEnd;
+        std::string segment, bytes, extra;
+        if (!(tokens >> segment >> bytes) || (tokens >> extra))
+            return std::nullopt;
+        const auto seg = parseI64Field(segment);
+        const auto end = parseI64Field(bytes);
+        if (!seg || !end)
+            return std::nullopt;
+        record.ref.segment = *seg;
+        record.ref.offset = *end;
+        return record;
+    }
     if (word == "evict" || word == "invalidate") {
         record.kind = word == "evict"
                           ? ManifestRecord::Kind::kEvict
@@ -123,6 +136,9 @@ formatBody(const ManifestRecord& record)
             break;
         case ManifestRecord::Kind::kInvalidate:
             os << "invalidate " << escapeManifestKey(record.key);
+            break;
+        case ManifestRecord::Kind::kEnd:
+            os << "end " << record.ref.segment << " " << record.ref.offset;
             break;
     }
     return os.str();

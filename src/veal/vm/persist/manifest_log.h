@@ -9,6 +9,7 @@
  * record per line:
  *
  *   veal-persist-log-v2
+ *   <crc> end <segment> <bytes>
  *   <crc> add <segment> <offset> <length> <epoch> <lru> <key>
  *   <crc> evict <key>
  *   <crc> invalidate <key>
@@ -28,9 +29,12 @@
  * type is needed and a crash mid-compaction leaves every key pointing
  * at a valid copy (old or new, both checksummed).
  *
- * flush() rewrites the log as a snapshot (one `add` per live entry)
- * via temp-then-rename, bounding replay time; the store also rewrites
- * opportunistically when the log grows well past the live-entry count.
+ * flush() rewrites the log as a snapshot via temp-then-rename,
+ * bounding replay time; the store also rewrites opportunistically when
+ * the log grows well past the live-entry count.  A snapshot opens with
+ * one `end` record, the active segment's committed length (the store
+ * truncates only that segment on recovery, only past it), then holds
+ * one `add` per live entry.
  *
  * Keys are percent-escaped (%, space, control, non-ASCII) so hostile
  * keys -- including embedded newlines -- round-trip exactly.
@@ -51,13 +55,18 @@ constexpr const char* kManifestLogHeader = "veal-persist-log-v2";
 
 /** One replayed record. */
 struct ManifestRecord {
-    enum class Kind : int { kAdd = 0, kEvict, kInvalidate };
+    enum class Kind : int { kAdd = 0, kEvict, kInvalidate, kEnd };
 
     Kind kind = Kind::kAdd;
-    std::string key;
+    std::string key;  ///< Empty for kEnd.
+
+    /**
+     * kAdd: where the payload lives.  kEnd: `segment` and, in
+     * `offset`, its committed length.
+     */
+    RecordRef ref;
 
     // kAdd only.
-    RecordRef ref;
     std::int64_t epoch = 0;
     int lru_segment = 0;  ///< PersistentStore::kProbation / kProtected.
 };
@@ -105,9 +114,9 @@ class ManifestLog {
     bool appendInvalidate(const std::string& key);
 
     /**
-     * Replace the log with a snapshot of @p records (all kAdd),
-     * temp-then-rename; false on I/O failure.  Resets the append
-     * counter.
+     * Replace the log with a snapshot of @p records (a kEnd, then
+     * kAdds), temp-then-rename; false on I/O failure.  Resets the
+     * append counter.
      */
     bool rewrite(const std::vector<ManifestRecord>& records);
 
