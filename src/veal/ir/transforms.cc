@@ -9,22 +9,6 @@
 #include "veal/support/assert.h"
 #include "veal/support/logging.h"
 
-#include <cstdio>
-#include <cstdlib>
-
-namespace {
-bool
-fissionDebug()
-{
-    return std::getenv("VEAL_FISSION_DEBUG") != nullptr;
-}
-#define FISSION_TRACE(...)                                                 \
-    do {                                                                   \
-        if (fissionDebug())                                                \
-            std::fprintf(stderr, __VA_ARGS__);                             \
-    } while (false)
-}  // namespace
-
 namespace veal {
 
 OpId
@@ -259,17 +243,14 @@ class PartitionBuilder {
             return Operand{mapped, operand.distance};
         if (isCloneable(operand.producer)) {
             const OpId clone = cloneOp(operand.producer);
-            if (clone == kNoOp) {
-                FISSION_TRACE("fission: clone failed while resolving operand\n");
+            if (clone == kNoOp)
                 return std::nullopt;
-            }
             return Operand{clone, operand.distance};
         }
         const int producer_partition =
             partition_of_[static_cast<std::size_t>(operand.producer)];
         if (producer_partition >= index_) {
             // Carried value from a later partition: fission impossible.
-            FISSION_TRACE("fission: carried value from a later partition\n");
             return std::nullopt;
         }
         return commLoad(operand.producer, operand.distance);
@@ -520,10 +501,8 @@ tryFission(const Loop& loop, const LoopAnalysis& analysis,
                    scc_int <= budget.max_int_ops &&
                    scc_fp <= budget.max_fp_ops;
         }
-        if (!fits) {
-            FISSION_TRACE("fission: a single SCC exceeds the budget\n");
+        if (!fits)
             return std::nullopt;  // A single SCC exceeds the budget.
-        }
         cur_load_bases = std::move(loads);
         cur_store_bases = std::move(stores);
         cur_comm_in = std::move(comm_in);
@@ -535,10 +514,8 @@ tryFission(const Loop& loop, const LoopAnalysis& analysis,
     }
 
     const int num_partitions = current + 1;
-    if (num_partitions < 2) {
-        FISSION_TRACE("fission: nothing was actually split\n");
+    if (num_partitions < 2)
         return std::nullopt;  // Nothing was actually split.
-    }
 
     // Which owned compute ops are consumed by later partitions?
     std::vector<std::set<OpId>> comm_out(
@@ -558,7 +535,6 @@ tryFission(const Loop& loop, const LoopAnalysis& analysis,
                 continue;  // Re-materialised, not communicated.
             if (consumer_partition == -1 ||
                 producer_partition > consumer_partition) {
-                FISSION_TRACE("fission: backward cross-partition flow\n");
                 return std::nullopt;  // Backward cross-partition flow.
             }
             comm_out[static_cast<std::size_t>(producer_partition)]
@@ -573,20 +549,16 @@ tryFission(const Loop& loop, const LoopAnalysis& analysis,
             loop, analysis, partition_of, p,
             loop.name() + ".fiss" + std::to_string(p));
         builder.reserveOwned();
-        if (!builder.wireOwned() || !builder.cloneControl()) {
-            FISSION_TRACE("fission: partition wiring/control cloning failed\n");
+        if (!builder.wireOwned() || !builder.cloneControl())
             return std::nullopt;
-        }
         for (const OpId id : comm_out[static_cast<std::size_t>(p)])
             builder.addCommStore(id);
         builder.copyMemoryEdges();
         result.comm_streams += builder.commStreams() +
             static_cast<int>(comm_out[static_cast<std::size_t>(p)].size());
         Loop piece = builder.take();
-        if (piece.verify().has_value()) {
-            FISSION_TRACE("fission: materialised piece failed verification\n");
+        if (piece.verify().has_value())
             return std::nullopt;
-        }
         result.loops.push_back(std::move(piece));
     }
 
@@ -613,14 +585,6 @@ tryFission(const Loop& loop, const LoopAnalysis& analysis,
                 max_store_streams ||
             piece_int > budget.max_int_ops ||
             piece_fp > budget.max_fp_ops) {
-            FISSION_TRACE("fission: piece %s ok=%d loads=%zu stores=%zu "
-                          "budget=%d/%d reject=%s\n",
-                          piece.name().c_str(),
-                          piece_analysis.ok() ? 1 : 0,
-                          piece_analysis.load_streams.size(),
-                          piece_analysis.store_streams.size(),
-                          max_load_streams, max_store_streams,
-                          toString(piece_analysis.reject));
             return std::nullopt;
         }
     }
@@ -641,15 +605,11 @@ fissionLoop(const Loop& loop, int max_load_streams, int max_store_streams)
 std::optional<FissionResult>
 fissionLoop(const Loop& loop, const FissionBudget& budget)
 {
-    if (budget.max_load_streams < 1 || budget.max_store_streams < 1) {
-        FISSION_TRACE("fission: degenerate budget\n");
+    if (budget.max_load_streams < 1 || budget.max_store_streams < 1)
         return std::nullopt;
-    }
     const auto analysis = analyzeLoop(loop);
-    if (!analysis.ok()) {
-        FISSION_TRACE("fission: analysis rejected\n");
+    if (!analysis.ok())
         return std::nullopt;
-    }
     int total_int = 0;
     int total_fp = 0;
     for (const auto& op : loop.operations()) {
@@ -666,7 +626,6 @@ fissionLoop(const Loop& loop, const FissionBudget& budget)
         static_cast<int>(analysis.store_streams.size()) <=
             budget.max_store_streams &&
         total_int <= budget.max_int_ops && total_fp <= budget.max_fp_ops) {
-        FISSION_TRACE("fission: already fits\n");
         return std::nullopt;  // Already fits; fission would only add traffic.
     }
 
@@ -679,7 +638,6 @@ fissionLoop(const Loop& loop, const FissionBudget& budget)
             return result;
         }
     }
-    FISSION_TRACE("fission: no feasible partitioning\n");
     return std::nullopt;
 }
 

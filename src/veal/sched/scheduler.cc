@@ -1,8 +1,6 @@
 #include "veal/sched/scheduler.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "veal/sched/mii.h"
 #include "veal/support/assert.h"
@@ -92,36 +90,6 @@ tryIi(const SchedGraph& graph, const LaConfig& config,
         int count;
         if (has_pred && has_succ) {
             if (earliest > latest) {
-                if (std::getenv("VEAL_SCHED_DEBUG") != nullptr) {
-                    std::fprintf(stderr,
-                                 "sched: ii=%d unit=%d empty window "
-                                 "[%d, %d]\n",
-                                 ii, u, earliest, latest);
-                    for (const int e :
-                         graph.predEdges()[static_cast<std::size_t>(u)]) {
-                        const auto& edge =
-                            graph.edges()[static_cast<std::size_t>(e)];
-                        if (placed[static_cast<std::size_t>(edge.from)]) {
-                            std::fprintf(
-                                stderr, "  pred %d@%d d=%d dist=%d\n",
-                                edge.from,
-                                time[static_cast<std::size_t>(edge.from)],
-                                edge.delay, edge.distance);
-                        }
-                    }
-                    for (const int e :
-                         graph.succEdges()[static_cast<std::size_t>(u)]) {
-                        const auto& edge =
-                            graph.edges()[static_cast<std::size_t>(e)];
-                        if (placed[static_cast<std::size_t>(edge.to)]) {
-                            std::fprintf(
-                                stderr, "  succ %d@%d d=%d dist=%d\n",
-                                edge.to,
-                                time[static_cast<std::size_t>(edge.to)],
-                                edge.delay, edge.distance);
-                        }
-                    }
-                }
                 if (meter != nullptr)
                     meter->charge(TranslationPhase::kScheduling, probes);
                 return std::nullopt;
@@ -170,14 +138,6 @@ tryIi(const SchedGraph& graph, const LaConfig& config,
             }
         }
         if (!done) {
-            if (std::getenv("VEAL_SCHED_DEBUG") != nullptr) {
-                std::fprintf(stderr,
-                             "sched: ii=%d unit=%d fu=%d window start=%d "
-                             "step=%d count=%d pred=%d succ=%d e=%d l=%d\n",
-                             ii, u, static_cast<int>(unit.fu), start, step,
-                             count, has_pred ? 1 : 0, has_succ ? 1 : 0,
-                             earliest, latest);
-            }
             if (meter != nullptr)
                 meter->charge(TranslationPhase::kScheduling, probes);
             return std::nullopt;
@@ -192,16 +152,6 @@ tryIi(const SchedGraph& graph, const LaConfig& config,
         if (time[static_cast<std::size_t>(edge.to)] <
             time[static_cast<std::size_t>(edge.from)] + edge.delay -
                 ii * edge.distance) {
-            if (std::getenv("VEAL_SCHED_DEBUG") != nullptr) {
-                std::fprintf(stderr,
-                             "sched: ii=%d edge %d@%d -> %d@%d delay=%d "
-                             "dist=%d violated\n",
-                             ii, edge.from,
-                             time[static_cast<std::size_t>(edge.from)],
-                             edge.to,
-                             time[static_cast<std::size_t>(edge.to)],
-                             edge.delay, edge.distance);
-            }
             if (meter != nullptr)
                 meter->charge(TranslationPhase::kScheduling, probes);
             return std::nullopt;

@@ -133,9 +133,9 @@ ccaSpecFor(const LaConfig& config, bool cca)
 
 /**
  * Figure 9's annotations derived from @p front, a front end of @p loop
- * built for @p config's CCA setting: its CCA subgraphs, and swing ranks
- * at the MII of @p config (ResMII depends on the design point, so the
- * ranks cannot live in the front end).  Unmetered.
+ * built for @p config's CCA setting: its CCA subgraphs, and the ranks of
+ * its memoized swing order at the MII of @p config (ResMII depends on the
+ * design point, so the ranks are encoded per config).  Unmetered.
  */
 StaticAnnotations
 deriveAnnotations(const Loop& loop, const LaConfig& config,
@@ -149,7 +149,7 @@ deriveAnnotations(const Loop& loop, const LaConfig& config,
     const int ii = res >= LaConfig::kUnlimited
                        ? front.rec_mii
                        : std::max(res, front.rec_mii);
-    const NodeOrder order = computeSwingOrder(graph, ii);
+    const NodeOrder& order = front.priorityOrder(PriorityKind::kSwing, ii);
 
     std::vector<int> op_priority(static_cast<std::size_t>(loop.size()), -1);
     for (const auto& unit : graph.units()) {
@@ -173,6 +173,29 @@ translateLoop(const Loop& loop, const LaConfig& config,
     TranslationOptions options;
     options.annotations = annotations;
     return translateLoop(loop, config, mode, options);
+}
+
+const NodeOrder&
+TranslationFrontEnd::priorityOrder(PriorityKind kind, int ii,
+                                   CostMeter* meter) const
+{
+    const std::lock_guard<std::mutex> lock(priorities_->mutex);
+    auto found = priorities_->orders.find({kind, ii});
+    if (found == priorities_->orders.end()) {
+        CostMeter computing;
+        NodeOrder order = kind == PriorityKind::kSwing
+                              ? computeSwingOrder(*graph, ii, &computing)
+                              : computeHeightOrder(*graph, ii, &computing);
+        const std::uint64_t units =
+            computing.units(TranslationPhase::kPriority);
+        found = priorities_->orders
+                    .emplace(std::pair(kind, ii),
+                             MemoizedOrder{std::move(order), units})
+                    .first;
+    }
+    if (meter != nullptr)
+        meter->charge(TranslationPhase::kPriority, found->second.units);
+    return found->second.order;
 }
 
 TranslationFrontEnd
@@ -234,14 +257,19 @@ translateLoop(const Loop& loop, const LaConfig& config,
 
     // A hybrid caller that passed no annotations gets the static
     // compiler's.  The binary's annotations are built for
-    // config.hasCca(), so the no-CCA rung of a CCA machine derives them
-    // from a front end of its own.
+    // config.hasCca(), so a CCA-off translation on a CCA machine derives
+    // them from a CCA-on front end that shares this one's analysis.
     StaticAnnotations derived;
     const StaticAnnotations* annotations = options.annotations;
     if (hybrid && annotations == nullptr) {
-        derived = cca == config.hasCca()
-                      ? deriveAnnotations(loop, config, *front)
-                      : precompileAnnotations(loop, config);
+        if (cca == config.hasCca()) {
+            derived = deriveAnnotations(loop, config, *front);
+        } else {
+            derived = deriveAnnotations(
+                loop, config,
+                buildTranslationFrontEnd(loop, config.cca, config.latencies,
+                                         front));
+        }
         annotations = &derived;
     }
     TranslationResult result;
@@ -251,7 +279,7 @@ translateLoop(const Loop& loop, const LaConfig& config,
     auto reject = [&](TranslationReject why, std::string detail) {
         result.reject = why;
         result.reject_detail = std::move(detail);
-        return result;
+        return std::move(result);
     };
 
     // The pipeline fault sites (CCA mapping, scheduler placement,
@@ -344,15 +372,20 @@ translateLoop(const Loop& loop, const LaConfig& config,
         return reject(TranslationReject::kBudgetExhausted,
                       budget_detail());
 
-    // --- Priority: static ranks, cheap height, or full swing.
-    NodeOrder order;
+    // --- Priority: static ranks, cheap height, or full swing.  The
+    // front end memoizes height and swing orders per II; a memoized
+    // order charges here the units computing it charged.
+    NodeOrder ranked;
+    const NodeOrder* order = &ranked;
     if (hybrid && annotations->op_priority.has_value()) {
-        order = orderFromStaticRanks(graph, *annotations->op_priority,
-                                     &meter);
-    } else if (mode == TranslationMode::kFullyDynamicHeight) {
-        order = computeHeightOrder(graph, result.mii, &meter);
+        ranked = orderFromStaticRanks(graph, *annotations->op_priority,
+                                      &meter);
     } else {
-        order = computeSwingOrder(graph, result.mii, &meter);
+        order = &front->priorityOrder(
+            mode == TranslationMode::kFullyDynamicHeight
+                ? PriorityKind::kHeight
+                : PriorityKind::kSwing,
+            result.mii, &meter);
     }
     if (over_budget())
         return reject(TranslationReject::kBudgetExhausted,
@@ -407,7 +440,7 @@ translateLoop(const Loop& loop, const LaConfig& config,
     };
 
     bool placement_failed = false;
-    bool scheduled = schedule_with_registers(order, &placement_failed);
+    bool scheduled = schedule_with_registers(*order, &placement_failed);
     if (injected_placement) {
         // An injected placement fault corrupted this whole translation
         // attempt; re-ordering cannot save it.  Reject so the VM's
@@ -416,15 +449,15 @@ translateLoop(const Loop& loop, const LaConfig& config,
                       "injected scheduler-placement fault");
     }
     if (!scheduled && placement_failed &&
-        order.kind != PriorityKind::kHeight) {
+        order->kind != PriorityKind::kHeight) {
         // The swing order occasionally wedges a node between neighbours
         // placed in opposite sweep directions at every II.  Fall back to
         // the forward-only height order before giving up (the extra
         // priority pass is charged like any other translation work).
         result.height_fallback = true;
-        const NodeOrder fallback =
-            computeHeightOrder(graph, result.mii, &meter);
-        scheduled = schedule_with_registers(fallback, &placement_failed);
+        scheduled = schedule_with_registers(
+            front->priorityOrder(PriorityKind::kHeight, result.mii, &meter),
+            &placement_failed);
     }
     if (!scheduled) {
         if (placement_failed) {
@@ -476,10 +509,16 @@ climbTranslationLadder(const Loop& loop, const LaConfig& config,
     }
     LadderOutcome outcome;
     for (const auto& rung : kRungs) {
+        // A CCA machine's no-CCA rung runs on a CCA-off front end that
+        // shares the climb's analysis, built only once a climb gets here.
+        std::optional<TranslationFrontEnd> off;
+        if (config.hasCca() && rung.disable_cca) {
+            off = buildTranslationFrontEnd(loop, std::nullopt,
+                                           config.latencies, &front);
+        }
         TranslationOptions options;
         options.annotations = annotations;
-        if (front.cca == (config.hasCca() && !rung.disable_cca))
-            options.front_end = &front;
+        options.front_end = off.has_value() ? &*off : &front;
         options.faults = faults;
         options.ii_slack = rung.ii_slack;
         options.disable_cca = rung.disable_cca;

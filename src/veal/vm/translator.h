@@ -18,9 +18,12 @@
  */
 
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "veal/arch/la_config.h"
@@ -127,8 +130,9 @@ struct TranslationResult {
  * depend only on the loop, the CCA spec and the latency model, never on
  * FU counts, registers, streams, max II or mode (paper §4.3 moves the
  * same work offline).  Built by buildTranslationFrontEnd() and immutable
- * after; every translateLoop() replays one phase by phase
- * (TranslationOptions::front_end).
+ * after, but for a memo of priority orders, which depend on the II too
+ * and so are computed on first request; every translateLoop() replays
+ * one phase by phase (TranslationOptions::front_end).
  */
 struct TranslationFrontEnd {
     /** Built with CCA subgraphs, or without. */
@@ -162,6 +166,38 @@ struct TranslationFrontEnd {
     std::uint64_t analysis_units = 0;
     std::uint64_t mapping_units = 0;
     std::uint64_t rec_mii_units = 0;
+
+    /**
+     * computeSwingOrder() (@p kind kSwing) or computeHeightOrder()
+     * (kHeight) of `graph` at @p ii, charging @p meter the kPriority
+     * units that computation charged.  The first request for (@p kind,
+     * @p ii) computes the order under the memo's lock; every later one
+     * reads it, so design points that share an MII share the order.
+     * Safe to call concurrently.  @pre `graph` is not null.
+     */
+    const NodeOrder& priorityOrder(PriorityKind kind, int ii,
+                                   CostMeter* meter = nullptr) const;
+
+  private:
+    /** A memoized order and the kPriority units computing it charged. */
+    struct MemoizedOrder {
+        NodeOrder order;
+        std::uint64_t units = 0;
+    };
+
+    /**
+     * priorityOrder()'s entries by (kind, II).  An entry is immutable once
+     * inserted and never erased, so a returned reference stays valid.
+     * The II is an MII of `graph`, at most the larger of its RecMII and
+     * its total slot demand, so the memo is bounded without eviction.
+     * Held by pointer so the front end stays movable.
+     */
+    struct PriorityMemo {
+        std::mutex mutex;
+        std::map<std::pair<PriorityKind, int>, MemoizedOrder> orders;
+    };
+    std::unique_ptr<PriorityMemo> priorities_ =
+        std::make_unique<PriorityMemo>();
 };
 
 /**
@@ -227,18 +263,22 @@ struct TranslationOptions {
  * Thread-safety: a pure function of its arguments -- every product
  * (schedule, registers, CostMeter) lives inside the returned
  * TranslationResult, its graph is immutable (the attached front end's,
- * when one is), and nothing global is written.  Concurrent sweep
- * threads therefore never share a mutable translation.  (A
- * FaultInjector passed via TranslationOptions is mutable run state
+ * when one is), and nothing global is written.  The one shared write,
+ * an attached front end's priority memo, is locked and fills each entry
+ * once with a pure function of the graph, the kind and the II.
+ * Concurrent sweep threads therefore never share a mutable translation.
+ * (A FaultInjector passed via TranslationOptions is mutable run state
  * owned by the caller and must stay thread-confined.)
  *
  * @param annotations read by kHybridStaticCcaPriority only.  When a
  *        hybrid caller passes none, the translator derives them, as
  *        precompileAnnotations(@p loop, @p config) would, from the
- *        front end it schedules on.  Deriving is unmetered (the static
- *        compiler's work happened offline).  The mapping is always the
- *        front end's; an annotation CCA mapping only makes the CCA
- *        phase charge a decode pass instead of the greedy mapper.
+ *        front end it schedules on (with CCA disabled on a CCA
+ *        machine, from a CCA-on front end sharing that one's
+ *        analysis).  Deriving is unmetered (the static compiler's work
+ *        happened offline).  The mapping is always the front end's; an
+ *        annotation CCA mapping only makes the CCA phase charge a
+ *        decode pass instead of the greedy mapper.
  */
 TranslationResult translateLoop(const Loop& loop, const LaConfig& config,
                                 TranslationMode mode,
@@ -299,7 +339,9 @@ struct LadderOutcome {
  * With @p faults == nullptr the nominal rung is bit-identical to
  * translateLoop() and later rungs only engage on genuine failures.  The
  * climb builds one front end, which every rung with the machine's CCA
- * setting shares; the probe sequence is that of plain translations,
+ * setting shares, orders included; a CCA machine's no-CCA rung gets a
+ * CCA-off front end sharing its analysis, built only when a climb
+ * reaches that rung.  The probe sequence is that of plain translations,
  * since every translation probes its fault sites itself.  Hybrid
  * annotations the caller did not pass are derived once per climb, as
  * translateLoop() would.

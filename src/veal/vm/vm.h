@@ -40,7 +40,8 @@ class Registry;
  * every front end would make every mediaFpSuite() caller pay for it
  * (DESIGN.md §8).  The fill is a pure function of the site's pieces and
  * the tag, under std::call_once, so whichever thread fills it, the
- * bytes are the same, and after it the slot is read-only.  Each piece
+ * bytes are the same, and after it the slot is read-only but for each
+ * front end's memo of priority orders, which locks itself.  Each piece
  * keeps one LoopAnalysis for both CCA settings, and translations share
  * the graphs rather than copy them.  Nothing is built for the
  * unfissioned loop of a fissioned site, which only fault runs

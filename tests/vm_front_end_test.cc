@@ -19,15 +19,19 @@
  * The other tests pin the slot contract: translations share the front
  * end's graph, a slot fills once, an LA with another tag, a fault run
  * and a site without a slot all build afresh with identical results,
- * and concurrent first use is deterministic.
+ * and concurrent first use is deterministic.  The last three pin the
+ * front end's memoized priority orders: translations that reuse them
+ * across design points, ladder rungs and threads equal fresh ones.
  */
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -40,6 +44,8 @@
 #include "veal/fault/fault_injector.h"
 #include "veal/fault/fault_plan.h"
 #include "veal/support/metrics/metrics.h"
+#include "veal/support/rng.h"
+#include "veal/support/thread_pool.h"
 #include "veal/vm/translator.h"
 #include "veal/vm/vm.h"
 #include "veal/workloads/kernels.h"
@@ -147,6 +153,15 @@ addTranslation(Fnv& digest, const TranslationResult& tr)
     digest.add(tr.sched_stats.placement_failures);
     digest.add(tr.register_retries);
     digest.add(tr.height_fallback);
+}
+
+/** addTranslation() of @p tr alone. */
+std::string
+translationDigest(const TranslationResult& tr)
+{
+    Fnv digest;
+    addTranslation(digest, tr);
+    return digest.hex();
 }
 
 /** How a golden line's translations are made. */
@@ -557,6 +572,205 @@ TEST(FrontEndSlot, ConcurrentFirstUseMatchesSerial)
     const std::vector<std::uint64_t> serial = sweepFreshSuite(1);
     EXPECT_EQ(sweepFreshSuite(8), serial);
     EXPECT_EQ(sweepFreshSuite(8), serial);
+}
+
+/**
+ * The proposed design point at int and FP unit counts 1-4, CCA on and
+ * off, unit counts innermost: ResMII follows the unit counts, so a
+ * piece meets MIIs that repeat and MIIs that differ.
+ */
+std::vector<LaConfig>
+unitCountPoints()
+{
+    std::vector<LaConfig> points;
+    for (int cca = 1; cca >= 0; --cca) {
+        for (int int_units = 1; int_units <= 4; ++int_units) {
+            for (int fp_units = 1; fp_units <= 4; ++fp_units) {
+                points.push_back(shape(
+                    "i" + std::to_string(int_units) + "f" +
+                        std::to_string(fp_units) + "c" + std::to_string(cca),
+                    [&](LaConfig& la) {
+                        la.num_cca_units = cca;
+                        la.num_int_units = int_units;
+                        la.num_fp_units = fp_units;
+                    }));
+            }
+        }
+    }
+    return points;
+}
+
+TEST(FrontEndSlot, SharedPriorityOrdersMatchFresh)
+{
+    const std::vector<LaConfig> points = unitCountPoints();
+    // Design points reaching each (front end, MII), and the MIIs each
+    // front end meets.
+    std::map<std::pair<const TranslationFrontEnd*, int>, int> reached;
+    std::map<const TranslationFrontEnd*, std::set<int>> miis;
+    int fallbacks = 0;
+    for (const Application& app : suiteApps()) {
+        for (const LoopSite& site : app.sites) {
+            for (std::size_t i = 0; i < piecesOf(site).size(); ++i) {
+                const Loop& loop = *piecesOf(site)[i];
+                for (const LaConfig& la : points) {
+                    TranslationOptions options;
+                    options.front_end = site.front_ends->find(site, i, la);
+                    ASSERT_NE(options.front_end, nullptr) << loop.name();
+                    for (const TranslationMode mode : kModes) {
+                        const TranslationResult shared =
+                            translateLoop(loop, la, mode, options);
+                        EXPECT_EQ(translationDigest(shared),
+                                  translationDigest(
+                                      translateLoop(loop, la, mode)))
+                            << loop.name() << " @ " << la.name << " / "
+                            << toString(mode);
+                        fallbacks += shared.height_fallback ? 1 : 0;
+                        if (mode == TranslationMode::kStatic &&
+                            shared.mii > 0) {
+                            ++reached[{options.front_end, shared.mii}];
+                            miis[options.front_end].insert(shared.mii);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_TRUE(std::any_of(reached.begin(), reached.end(),
+                            [](const auto& entry) {
+                                return entry.second > 1;
+                            }));
+    EXPECT_TRUE(std::any_of(miis.begin(), miis.end(),
+                            [](const auto& entry) {
+                                return entry.second.size() > 1;
+                            }));
+    EXPECT_GT(fallbacks, 0);
+}
+
+/**
+ * Rung @p rung of a ladder climb with no injector (nominal, relaxed II,
+ * no CCA), translated on a front end of its own.
+ */
+TranslationResult
+freshRung(const Loop& loop, const LaConfig& la, TranslationMode mode,
+          std::size_t rung)
+{
+    TranslationOptions options;
+    options.ii_slack = rung == 0 ? 0 : 2;
+    options.disable_cca = rung == 2;
+    return translateLoop(loop, la, mode, options);
+}
+
+TEST(FrontEndSlot, LadderPriorityOrdersMatchFresh)
+{
+    // Tight register files fail nominal rungs, so climbs reach the
+    // relaxed-II rung, which reuses the nominal rung's orders, and some
+    // succeed there or on the no-CCA rung.
+    std::vector<LaConfig> points;
+    for (const auto& [registers, units] :
+         {std::pair(6, 2), std::pair(10, 1), std::pair(12, 2)}) {
+        points.push_back(shape(
+            "r" + std::to_string(registers) + "u" + std::to_string(units),
+            [&](LaConfig& la) {
+                la.num_int_registers = registers;
+                la.num_fp_registers = registers;
+                la.num_int_units = units;
+                la.num_fp_units = units;
+            }));
+    }
+    int relaxed = 0;
+    int relaxed_ok = 0;
+    int no_cca_ok = 0;
+    for (const Application& app : suiteApps()) {
+        for (const LoopSite& site : app.sites) {
+            for (const Loop* loop : piecesOf(site)) {
+                for (const LaConfig& la : points) {
+                    for (const TranslationMode mode : kModes) {
+                        const LadderOutcome outcome = climbTranslationLadder(
+                            *loop, la, mode, nullptr, nullptr);
+                        std::vector<const TranslationResult*> attempts;
+                        for (const TranslationResult& failed :
+                             outcome.failed_attempts)
+                            attempts.push_back(&failed);
+                        attempts.push_back(&outcome.translation);
+                        if (attempts.size() < 2)
+                            continue;
+                        ++relaxed;
+                        relaxed_ok +=
+                            outcome.rung == DegradationRung::kRelaxedIi;
+                        no_cca_ok += outcome.rung == DegradationRung::kNoCca;
+                        for (std::size_t rung = 0; rung < attempts.size();
+                             ++rung) {
+                            EXPECT_EQ(translationDigest(*attempts[rung]),
+                                      translationDigest(freshRung(
+                                          *loop, la, mode, rung)))
+                                << loop->name() << " @ " << la.name << " / "
+                                << toString(mode) << " rung " << rung;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(relaxed, 0);
+    EXPECT_GT(relaxed_ok, 0);
+    EXPECT_GT(no_cca_ok, 0);
+}
+
+/**
+ * Translate every (piece, design point, mode) of a fresh mediaFpSuite()
+ * on its sites' slots, in one fixed shuffled order, on @p threads
+ * workers.  Returns each translation's digest, in that order.
+ */
+std::vector<std::string>
+translateShuffled(int threads)
+{
+    struct Job {
+        const LoopSite* site;
+        std::size_t piece;
+        const LaConfig* la;
+        TranslationMode mode;
+    };
+    const std::vector<Application> apps = [] {
+        std::vector<Application> media;
+        for (auto& benchmark : mediaFpSuite())
+            media.push_back(std::move(benchmark.transformed));
+        return media;
+    }();
+    const std::vector<LaConfig> points = unitCountPoints();
+    std::vector<Job> jobs;
+    for (const Application& app : apps) {
+        for (const LoopSite& site : app.sites) {
+            for (std::size_t i = 0; i < piecesOf(site).size(); ++i) {
+                for (const LaConfig& la : points) {
+                    for (const TranslationMode mode : kModes)
+                        jobs.push_back({&site, i, &la, mode});
+                }
+            }
+        }
+    }
+    Rng rng(23);
+    for (std::size_t i = jobs.size(); i > 1; --i)
+        std::swap(jobs[i - 1], jobs[rng.nextBelow(i)]);
+
+    std::vector<std::string> digests(jobs.size());
+    ThreadPool pool(threads);
+    pool.run(static_cast<int>(jobs.size()), [&](int j) {
+        const Job& job = jobs[static_cast<std::size_t>(j)];
+        TranslationOptions options;
+        options.front_end =
+            job.site->front_ends->find(*job.site, job.piece, *job.la);
+        digests[static_cast<std::size_t>(j)] = translationDigest(
+            translateLoop(*piecesOf(*job.site)[job.piece], *job.la,
+                          job.mode, options));
+    });
+    return digests;
+}
+
+TEST(FrontEndSlot, ConcurrentPriorityOrdersMatchSerial)
+{
+    const std::vector<std::string> serial = translateShuffled(1);
+    EXPECT_EQ(translateShuffled(8), serial);
+    EXPECT_EQ(translateShuffled(8), serial);
 }
 
 }  // namespace
