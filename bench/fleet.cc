@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "veal/arch/cpu_config.h"
 #include "veal/explore/sweep.h"
 #include "veal/fleet/fleet.h"
+#include "veal/sim/cpu_sim.h"
 #include "veal/support/assert.h"
 #include "veal/workloads/suite.h"
 
@@ -72,10 +72,7 @@ runFleetBench(const ModeOptions& options)
     using Clock = std::chrono::steady_clock;
 
     const fleet::FleetConfig config = fleet::FleetConfig::standard();
-    std::vector<LaConfig> backends;
-    backends.reserve(config.backends.size());
-    for (const auto& backend : config.backends)
-        backends.push_back(backend.la);
+    const std::size_t num_backends = config.backends.size();
     const CpuConfig cpu;
     const TlbConfig tlb;  // Disabled: pure design-point comparison.
 
@@ -85,29 +82,28 @@ runFleetBench(const ModeOptions& options)
     explore::SweepRunner runner(mediaFpSuite(), options.threads);
     const std::vector<Piece> pieces = gatherPieces(runner.suite());
     const auto scored_cells =
-        static_cast<std::int64_t>(pieces.size() * backends.size());
+        static_cast<std::int64_t>(pieces.size() * num_backends);
 
-    // Scoring grid, grouped by per-site iteration count (a score is
-    // priced at the site's real trip count).  Repeated --runs times for
-    // the wall-clock sample; every pass must agree bit for bit.
-    std::vector<std::vector<explore::LoopScore>> scores(pieces.size());
+    // The (piece x backend) scoring grid, each cell priced at its
+    // piece's own trip count.  Repeated --runs times for the wall-clock
+    // sample; every pass must agree bit for bit.
+    std::vector<persist::FleetScoreSet> scores;
     std::vector<double> wall_ms;
     for (int run = 0; run < options.runs; ++run) {
-        std::vector<std::vector<explore::LoopScore>> pass(pieces.size());
+        std::vector<persist::FleetScoreSet> pass(pieces.size());
+        for (auto& set : pass)
+            set.backends.resize(num_backends);
         const auto start = Clock::now();
-        std::map<std::int64_t, std::vector<std::size_t>> by_iterations;
-        for (std::size_t i = 0; i < pieces.size(); ++i)
-            by_iterations[pieces[i].iterations].push_back(i);
-        for (const auto& [iterations, members] : by_iterations) {
-            std::vector<Loop> loops;
-            loops.reserve(members.size());
-            for (const std::size_t i : members)
-                loops.push_back(*pieces[i].loop);
-            const auto grid =
-                runner.scoreLoops(loops, backends, kMode, iterations, tlb);
-            for (std::size_t k = 0; k < members.size(); ++k)
-                pass[members[k]] = grid[k];
-        }
+        // Cells write into pre-sized slots (distinct per index); the
+        // double return of evaluateCells is unused.
+        runner.evaluateCells(static_cast<int>(scored_cells), [&](int i) {
+            const auto p = static_cast<std::size_t>(i) / num_backends;
+            const auto b = static_cast<std::size_t>(i) % num_backends;
+            pass[p].backends[b] = fleet::scoreBackend(
+                *pieces[p].loop, config.backends[b].la, kMode,
+                pieces[p].iterations, tlb);
+            return 0.0;
+        });
         const double ms = std::chrono::duration<double, std::milli>(
                               Clock::now() - start)
                               .count();
@@ -122,11 +118,12 @@ runFleetBench(const ModeOptions& options)
             scores = std::move(pass);
         } else {
             for (std::size_t i = 0; i < pieces.size(); ++i) {
-                for (std::size_t j = 0; j < backends.size(); ++j) {
-                    VEAL_ASSERT(
-                        pass[i][j].warm_cycles == scores[i][j].warm_cycles &&
-                            pass[i][j].ok == scores[i][j].ok,
-                        "fleet scores drifted across bench passes");
+                for (std::size_t j = 0; j < num_backends; ++j) {
+                    const auto& now = pass[i].backends[j];
+                    const auto& first = scores[i].backends[j];
+                    VEAL_ASSERT(now.ok == first.ok &&
+                                    now.warm_cycles == first.warm_cycles,
+                                "fleet scores drifted across bench passes");
                 }
             }
         }
@@ -135,7 +132,7 @@ runFleetBench(const ModeOptions& options)
     // Steer every piece through the real FleetSteerer (unlimited
     // capacity: the study compares design points, not admission).
     fleet::FleetSteerer steerer(config);
-    std::vector<BackendTally> backend_tallies(backends.size());
+    std::vector<BackendTally> backend_tallies(num_backends);
     std::vector<BenchmarkTally> benchmark_tallies(runner.suite().size());
     std::int64_t cpu_steady_cycles = 0;
     std::int64_t baseline_steady_cycles = 0;
@@ -146,12 +143,14 @@ runFleetBench(const ModeOptions& options)
         const Piece& piece = pieces[i];
         const std::int64_t weight = piece.invocations;
         const std::int64_t cpu_piece =
-            weight * explore::scoreCpuCycles(*piece.loop, cpu,
-                                             piece.iterations);
+            weight *
+            simulateLoopOnCpu(*piece.loop, cpu, piece.iterations)
+                .total_cycles;
         cpu_steady_cycles += cpu_piece;
 
         // Baseline: the single proposed design point (fleet index 0).
-        const explore::LoopScore& base = scores[i][0];
+        persist::FleetScoreSet& set = scores[i];
+        const persist::FleetBackendScore& base = set.backends[0];
         const std::int64_t baseline_piece =
             base.ok ? std::min(cpu_piece, weight * base.warm_cycles)
                     : cpu_piece;
@@ -160,28 +159,15 @@ runFleetBench(const ModeOptions& options)
 
         // Fleet: steer, then serve from the placed backend (CPU when
         // the backend still loses at this piece's trip count).
-        persist::FleetScoreSet set;
         set.scoring_iterations = piece.iterations;
         set.cpu_cycles = cpu_piece / std::max<std::int64_t>(1, weight);
-        set.backends.reserve(backends.size());
-        for (const auto& cell : scores[i]) {
-            persist::FleetBackendScore score;
-            score.ok = cell.ok;
-            score.reject = cell.reject;
-            score.ii = cell.ii;
-            score.stage_count = cell.stage_count;
-            score.first_cycles = cell.first_cycles;
-            score.warm_cycles = cell.warm_cycles;
-            set.backends.push_back(score);
-        }
         const fleet::Placement placement =
             steerer.place("piece-" + std::to_string(i), set);
 
         std::int64_t fleet_piece = cpu_piece;
         if (placement.backend >= 0 && !placement.unscored) {
             const auto b = static_cast<std::size_t>(placement.backend);
-            const std::int64_t la_piece =
-                weight * scores[i][b].warm_cycles;
+            const std::int64_t la_piece = weight * set.backends[b].warm_cycles;
             ++backend_tallies[b].placed_pieces;
             backend_tallies[b].placed_invocations += weight;
             if (la_piece < cpu_piece) {
@@ -199,11 +185,11 @@ runFleetBench(const ModeOptions& options)
 
     VEAL_ASSERT(fleet_steady_cycles > 0);
     std::vector<JsonBlock> backend_rows;
-    for (std::size_t j = 0; j < backends.size(); ++j) {
+    for (std::size_t j = 0; j < num_backends; ++j) {
         const BackendTally& tally = backend_tallies[j];
         backend_rows.push_back(
             JsonBlock()
-                .add("name", backends[j].name)
+                .add("name", config.backends[j].la.name)
                 .add("placed_pieces", tally.placed_pieces)
                 .add("placed_invocations", tally.placed_invocations)
                 .add("steady_cycles", tally.steady_cycles));

@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "veal/arch/cpu_config.h"
-#include "veal/sim/cpu_sim.h"
 #include "veal/support/assert.h"
-#include "veal/vm/persist/blob.h"
-#include "veal/vm/translator.h"
 
 namespace veal::explore {
 
@@ -183,77 +180,6 @@ SweepRunner::fractionOfInfinite(const std::vector<LaConfig>& configs) const
         fractions[c] = sum / static_cast<double>(num_benchmarks);
     }
     return fractions;
-}
-
-std::vector<std::vector<LoopScore>>
-SweepRunner::scoreLoops(const std::vector<Loop>& loops,
-                        const std::vector<LaConfig>& configs,
-                        TranslationMode mode, std::int64_t iterations,
-                        const TlbConfig& tlb) const
-{
-    const int num_backends = static_cast<int>(configs.size());
-    std::vector<std::vector<LoopScore>> scores(
-        loops.size(), std::vector<LoopScore>(configs.size()));
-    if (loops.empty() || configs.empty())
-        return scores;
-    const int num_cells =
-        static_cast<int>(loops.size()) * num_backends;
-    // Cells write into pre-sized slots (distinct per index); the double
-    // return of evaluateCells is unused.
-    evaluateCells(num_cells, [&](int i) {
-        const auto loop_index =
-            static_cast<std::size_t>(i / num_backends);
-        const auto backend_index =
-            static_cast<std::size_t>(i % num_backends);
-        scores[loop_index][backend_index] =
-            scoreLoopCell(loops[loop_index], configs[backend_index],
-                          mode, iterations, tlb);
-        return 0.0;
-    });
-    return scores;
-}
-
-LoopScore
-scoreLoopCell(const Loop& loop, const LaConfig& la, TranslationMode mode,
-              std::int64_t iterations, const TlbConfig& tlb)
-{
-    VEAL_ASSERT(iterations >= 1, "scoring needs >= 1 iteration");
-    const TranslationResult translation = translateLoop(loop, la, mode);
-
-    LoopScore score;
-    score.ok = translation.ok;
-    score.reject = translation.reject;
-    if (!translation.ok)
-        return score;
-    score.ii = translation.schedule.ii;
-    score.stage_count = translation.schedule.stage_count;
-
-    // Price through the summary path -- the one the service charges and
-    // exactly what a persisted blob replays.
-    const persist::TranslationSummary summary =
-        persist::summarize(translation);
-    score.first_cycles =
-        persist::summaryLoopCost(summary, la, iterations,
-                                 /*first_invocation=*/true)
-            .total() +
-        streamTlbCharge(summary.load_strides, summary.store_strides, tlb,
-                        iterations, /*first_invocation=*/true)
-            .cycles;
-    score.warm_cycles =
-        persist::summaryLoopCost(summary, la, iterations,
-                                 /*first_invocation=*/false)
-            .total() +
-        streamTlbCharge(summary.load_strides, summary.store_strides, tlb,
-                        iterations, /*first_invocation=*/false)
-            .cycles;
-    return score;
-}
-
-std::int64_t
-scoreCpuCycles(const Loop& loop, const CpuConfig& cpu,
-               std::int64_t iterations)
-{
-    return simulateLoopOnCpu(loop, cpu, iterations).total_cycles;
 }
 
 double

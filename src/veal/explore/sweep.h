@@ -30,8 +30,8 @@
  * front end -- analysis, CCA mapping, graph and RecMII, which no
  * design point changes -- and every later cell on an LA with the same
  * CCA spec and latency model translates on it instead of rebuilding
- * it.  LA prices are the closed-form acceleratorLoopCost() per piece
- * (sim/la_timing.h).
+ * it.  Each translated piece is priced once per cell, through
+ * persist::servePrice() over its summary (vm/persist/blob.h).
  */
 
 #include <cstdint>
@@ -40,30 +40,12 @@
 #include <vector>
 
 #include "veal/arch/la_config.h"
-#include "veal/sim/tlb_model.h"
 #include "veal/support/metrics/metrics.h"
 #include "veal/support/thread_pool.h"
 #include "veal/vm/vm.h"
 #include "veal/workloads/suite.h"
 
 namespace veal::explore {
-
-/**
- * One backend's modeled price for one loop -- the fleet scorer's unit of
- * work (DESIGN.md §17).  Cycle totals come from the persist-summary cost
- * path (summaryLoopCost + streamTlbCharge), the same path the service
- * prices every serve through, so a score computed here equals the price
- * the service later charges on the chosen backend and equals the score
- * rehydrated from a persisted blob.
- */
-struct LoopScore {
-    bool ok = false;
-    TranslationReject reject = TranslationReject::kNone;
-    std::int32_t ii = 0;
-    std::int32_t stage_count = 0;
-    std::int64_t first_cycles = 0;  ///< First invocation (setup-heavy).
-    std::int64_t warm_cycles = 0;   ///< Steady-state re-invocation.
-};
 
 /** Instrumentation for the last sweep executed by a SweepRunner. */
 struct SweepStats {
@@ -155,17 +137,6 @@ class SweepRunner {
         const std::function<double(const Benchmark&, const LaConfig&)>&
             cell) const;
 
-    /**
-     * The fleet-scoring fan-out: price every @p loops[i] against every
-     * @p configs[j] as one parallel (loop x backend) grid, returning
-     * scores[i][j].  Each cell is an independent scoreLoopCell() call,
-     * so the result is bit-identical at any pool width.
-     */
-    std::vector<std::vector<LoopScore>> scoreLoops(
-        const std::vector<Loop>& loops,
-        const std::vector<LaConfig>& configs, TranslationMode mode,
-        std::int64_t iterations, const TlbConfig& tlb) const;
-
     /** Instrumentation accumulated over every sweep since construction. */
     const SweepStats& stats() const { return total_stats_; }
 
@@ -211,23 +182,6 @@ double cellSpeedup(const Benchmark& benchmark, const LaConfig& la,
 
 /** Infinite machine matching @p la's CCA presence (sweep baseline). */
 LaConfig infiniteLike(const LaConfig& la);
-
-/**
- * Price @p loop on one backend: a nominal-rung translateLoop() against
- * @p la (hybrid mode precompiles annotations against the same config),
- * then first/warm invocation totals at @p iterations via the summary
- * cost model, TLB charges included when @p tlb is enabled.  Pure
- * function of its arguments -- safe to call concurrently, and the
- * independence is what the fleet steering property battery recomputes
- * against.
- */
-LoopScore scoreLoopCell(const Loop& loop, const LaConfig& la,
-                        TranslationMode mode, std::int64_t iterations,
-                        const TlbConfig& tlb);
-
-/** The scalar-CPU rung's price for the same loop at @p iterations. */
-std::int64_t scoreCpuCycles(const Loop& loop, const CpuConfig& cpu,
-                            std::int64_t iterations);
 
 }  // namespace veal::explore
 

@@ -253,7 +253,7 @@ FaultyVfs::createDirectories(const std::string& dir)
 std::unique_ptr<persist::VfsLock>
 FaultyVfs::tryLockExclusive(const std::string& path)
 {
-    if (dead_ || options_.fail_lock)
+    if (dead_)
         return nullptr;
     return base_->tryLockExclusive(path);
 }

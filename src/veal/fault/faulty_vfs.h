@@ -57,9 +57,6 @@ struct FaultyVfsOptions {
 
     /** Seeds the cut-point / bit-position draws. */
     std::uint64_t seed = 1;
-
-    /** Refuse tryLockExclusive (simulates losing the flock race). */
-    bool fail_lock = false;
 };
 
 /** The fault-injecting Vfs decorator; see file doc. */

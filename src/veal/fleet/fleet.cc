@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "veal/explore/sweep.h"
+#include "veal/sim/cpu_sim.h"
 #include "veal/support/assert.h"
 #include "veal/support/fnv.h"
 
@@ -191,6 +191,28 @@ fleetSignature(const FleetConfig& config)
     return digest;
 }
 
+persist::FleetBackendScore
+scoreBackend(const Loop& loop, const LaConfig& la, TranslationMode mode,
+             std::int64_t iterations, const TlbConfig& tlb)
+{
+    VEAL_ASSERT(iterations >= 1, "scoring needs >= 1 iteration");
+    const TranslationResult translation = translateLoop(loop, la, mode);
+    persist::FleetBackendScore score;
+    score.ok = translation.ok;
+    score.reject = translation.reject;
+    if (!translation.ok)
+        return score;
+    score.ii = translation.schedule.ii;
+    score.stage_count = translation.schedule.stage_count;
+    const persist::TranslationSummary summary =
+        persist::summarize(translation);
+    score.first_cycles =
+        persist::servePrice(summary, la, tlb, iterations, true).cycles;
+    score.warm_cycles =
+        persist::servePrice(summary, la, tlb, iterations, false).cycles;
+    return score;
+}
+
 BackendScorer::BackendScorer(FleetConfig config, CpuConfig cpu,
                              TlbConfig tlb,
                              std::int64_t scoring_iterations)
@@ -225,19 +247,11 @@ BackendScorer::score(const Loop& loop, TranslationMode mode) const
     scores.signature = signature_;
     scores.scoring_iterations = scoring_iterations_;
     scores.cpu_cycles =
-        explore::scoreCpuCycles(loop, cpu_, scoring_iterations_);
+        simulateLoopOnCpu(loop, cpu_, scoring_iterations_).total_cycles;
     scores.backends.reserve(config_.backends.size());
     for (const Backend& backend : config_.backends) {
-        const explore::LoopScore cell = explore::scoreLoopCell(
-            loop, backend.la, mode, scoring_iterations_, tlb_);
-        persist::FleetBackendScore score;
-        score.ok = cell.ok;
-        score.reject = cell.reject;
-        score.ii = cell.ii;
-        score.stage_count = cell.stage_count;
-        score.first_cycles = cell.first_cycles;
-        score.warm_cycles = cell.warm_cycles;
-        scores.backends.push_back(score);
+        scores.backends.push_back(scoreBackend(
+            loop, backend.la, mode, scoring_iterations_, tlb_));
     }
     return scores;
 }

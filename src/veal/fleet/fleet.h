@@ -14,11 +14,11 @@
  *  - FleetConfig: N named LaConfig backends with per-backend capacity.
  *    Ships the paper baseline plus four presets (cca-heavy, fp-heavy,
  *    stream-heavy, tiny-ii).
- *  - BackendScorer: prices one loop against every backend through the
- *    explore/scoreLoopCell kernel -- modeled first/warm invocation
- *    cycles via the summary cost model (bit-identical to the live
- *    scheduler's pricing, TLB-aware when the service runs --tlb), plus
- *    the scalar-CPU price of the same loop.  Scores are pure data
+ *  - BackendScorer: prices one loop against every backend through
+ *    scoreBackend() -- one nominal translation per backend, priced
+ *    first and warm through persist::servePrice(), the price the
+ *    service charges (TLB-aware when it runs --tlb) -- plus the
+ *    scalar-CPU price of the same loop.  Scores are pure data
  *    (persist::FleetScoreSet), cacheable in the warm tier and
  *    persistable in version-2 blobs.
  *  - FleetSteerer: places keys greedily on the cheapest-warm-cycles
@@ -96,6 +96,17 @@ LaConfig tinyIiConfig();
  * score, so resizing capacity keeps persisted scores valid.
  */
 std::uint64_t fleetSignature(const FleetConfig& config);
+
+/**
+ * Price @p loop on one backend: one nominal translateLoop() against
+ * @p la, then its first and warm invocations at @p iterations through
+ * persist::servePrice().  Pure, so safe to call concurrently, and the
+ * steering battery recomputes single cells against it.
+ */
+persist::FleetBackendScore scoreBackend(const Loop& loop, const LaConfig& la,
+                                        TranslationMode mode,
+                                        std::int64_t iterations,
+                                        const TlbConfig& tlb);
 
 /**
  * Prices loops against the whole fleet.  Pure: one score() call per

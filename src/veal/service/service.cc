@@ -294,10 +294,8 @@ struct TranslationService::TickPlan {
         std::shared_ptr<const CpuProfile> cpu_profile;
         // Price-phase products; the LA prices only for an ok summary.
         const persist::TranslationSummary* summary = nullptr;
-        std::int64_t la_first_cycles = 0;  ///< The job owner's only.
-        std::int64_t la_warm_cycles = 0;
-        TlbCharge tlb_first;
-        TlbCharge tlb_warm;
+        persist::ServePrice la_first;  ///< The job owner's only.
+        persist::ServePrice la_warm;
     };
 
     std::int64_t epoch = 0;
@@ -637,21 +635,14 @@ TranslationService::priceTick(TickPlan& tick) const
         }
         if (plan.summary == nullptr || !plan.summary->ok)
             continue;
-        const persist::TranslationSummary& summary = *plan.summary;
-        const LaConfig& la = laFor(plan.backend);
-        const std::int64_t iterations = tick.admitted[i].request.iterations;
-        const auto price = [&](bool first_invocation, TlbCharge& charge) {
-            charge = streamTlbCharge(summary.load_strides,
-                                     summary.store_strides, options_.tlb,
-                                     iterations, first_invocation);
-            return persist::summaryLoopCost(summary, la, iterations,
-                                            first_invocation)
-                       .total() +
-                   charge.cycles;
+        const auto price = [&](bool first_invocation) {
+            return persist::servePrice(
+                *plan.summary, laFor(plan.backend), options_.tlb,
+                tick.admitted[i].request.iterations, first_invocation);
         };
         if (tick.fresh(i))
-            plan.la_first_cycles = price(true, plan.tlb_first);
-        plan.la_warm_cycles = price(false, plan.tlb_warm);
+            plan.la_first = price(true);
+        plan.la_warm = price(false);
     }
 }
 
@@ -857,15 +848,17 @@ TranslationService::reduceTick(TickPlan& tick)
                 registry_->add("service.translate.ok");
                 registry_->observe("service.ii", out.ii);
             }
-            out.la_first_cycles = plan.la_first_cycles;
-            out.la_warm_cycles = plan.la_warm_cycles;
+            out.la_first_cycles = plan.la_first.cycles;
+            out.la_warm_cycles = plan.la_warm.cycles;
             if (options_.tlb.enabled) {
+                const TlbCharge& first = plan.la_first.tlb;
+                const TlbCharge& warm = plan.la_warm.tlb;
                 tally(report_.tlb_pages, "vm.tlb.pages",
-                      plan.tlb_first.pages + plan.tlb_warm.pages);
+                      first.pages + warm.pages);
                 tally(report_.tlb_walks, "vm.tlb.walks",
-                      plan.tlb_first.walks + plan.tlb_warm.walks);
+                      first.walks + warm.walks);
                 tally(report_.tlb_cycles, "vm.tlb.cycles",
-                      plan.tlb_first.cycles + plan.tlb_warm.cycles);
+                      first.cycles + warm.cycles);
             }
             report_.la_first_cycles += out.la_first_cycles;
             report_.la_warm_cycles += out.la_warm_cycles;

@@ -41,7 +41,7 @@
  * makes shard/batch partitioning semantically invisible.  Every LA
  * price -- fresh, coalesced, warm or persisted serve -- comes from the
  * serving translation's persist::TranslationSummary through
- * persist::summaryLoopCost(), so all serves of a key price alike.
+ * persist::servePrice(), so all serves of a key price alike.
  */
 
 #include <atomic>

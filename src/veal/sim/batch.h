@@ -74,9 +74,10 @@ struct CpuSimRequest {
 /**
  * A MemoryImage flattened to two arrays: per-array cell runs, arrays
  * ascending by name and cells ascending by address (the map iteration
- * order).  Campaign drivers that generate inputs for the batch engine
- * hand it the image in this form so compiling a lane walks contiguous
- * memory instead of chasing thousands of map nodes per case.
+ * order).  A caller that holds its inputs in this form (only
+ * `veal-bench --mode simulation` does; the fuzz and fault campaigns
+ * pass maps) compiles a lane over contiguous memory instead of chasing
+ * thousands of map nodes per case.
  */
 struct FlatMemoryImage {
     struct Array {
@@ -131,11 +132,12 @@ bool interpretable(const Loop& loop);
  * cells stay where the engine computed them (dense window + sparse
  * overflow) and are walked in ascending-address order through
  * forEachCell(), so finishing a batch never copies the images at all.
- * Campaign consumers that only read the results in order (digesting,
- * diffing) take this view directly; interpretBatch() is the
- * compatibility wrapper that builds ExecutionResult maps from the same
- * view.  The view aliases the simulator's arenas: it is valid until the
- * next interpretBatch/interpretBatchFlat call on the same simulator.
+ * `veal-bench --mode simulation`, which only reads the results in
+ * order to digest them, takes this view directly; interpretBatch(),
+ * which the fuzz and fault campaigns call, builds ExecutionResult maps
+ * from the same view.  The view aliases the simulator's arenas: it is
+ * valid until the next interpretBatch/interpretBatchFlat call on the
+ * same simulator.
  */
 struct BatchExecView {
     /** One (lane, array) image; walk it with forEachCell(). */

@@ -29,12 +29,10 @@ laInvocationCost(const LaCostScalars& scalars, const LaConfig& config,
     return cost;
 }
 
-LaInvocationCost
-acceleratorLoopCost(const Schedule& schedule, const SchedGraph& graph,
-                    const LoopAnalysis& analysis,
-                    const RegisterAssignment& registers,
-                    const LaConfig& config, std::int64_t iterations,
-                    bool first_invocation)
+LaCostScalars
+laCostScalars(const Schedule& schedule, const SchedGraph& graph,
+              const LoopAnalysis& analysis,
+              const RegisterAssignment& registers)
 {
     LaCostScalars scalars;
     scalars.fu_units = graph.numFuUnits();
@@ -46,7 +44,19 @@ acceleratorLoopCost(const Schedule& schedule, const SchedGraph& graph,
         scalars.live_outs += unit.is_live_out ? 1 : 0;
     scalars.ii = schedule.ii;
     scalars.length = schedule.length;
-    return laInvocationCost(scalars, config, iterations, first_invocation);
+    return scalars;
+}
+
+LaInvocationCost
+acceleratorLoopCost(const Schedule& schedule, const SchedGraph& graph,
+                    const LoopAnalysis& analysis,
+                    const RegisterAssignment& registers,
+                    const LaConfig& config, std::int64_t iterations,
+                    bool first_invocation)
+{
+    return laInvocationCost(
+        laCostScalars(schedule, graph, analysis, registers), config,
+        iterations, first_invocation);
 }
 
 }  // namespace veal

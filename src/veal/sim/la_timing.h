@@ -37,10 +37,10 @@ struct LaInvocationCost {
 };
 
 /**
- * The six scalars of a translated loop the cost model reads.  Both
- * pricing entry points derive them -- acceleratorLoopCost() from the
- * live schedule, persist::summaryLoopCost() from a stored summary --
- * and hand them to laInvocationCost(), the one copy of the formula.
+ * The six scalars of a translated loop the cost model reads.
+ * laCostScalars() lifts them out of a live translation, once for both
+ * acceleratorLoopCost() and persist::summarize(); laInvocationCost() is
+ * the one copy of the formula over them.
  */
 struct LaCostScalars {
     std::int64_t fu_units = 0;      ///< Scheduled FU units (control words).
@@ -62,7 +62,13 @@ LaInvocationCost laInvocationCost(const LaCostScalars& scalars,
                                   std::int64_t iterations,
                                   bool first_invocation);
 
-/** laInvocationCost() over the scalars of a live translation. */
+/** The cost-model scalars of a live translation. */
+LaCostScalars laCostScalars(const Schedule& schedule,
+                            const SchedGraph& graph,
+                            const LoopAnalysis& analysis,
+                            const RegisterAssignment& registers);
+
+/** laInvocationCost() over laCostScalars() of a live translation. */
 LaInvocationCost acceleratorLoopCost(const Schedule& schedule,
                                      const SchedGraph& graph,
                                      const LoopAnalysis& analysis,

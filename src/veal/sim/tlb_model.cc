@@ -51,22 +51,4 @@ streamTlbCharge(const std::vector<std::int64_t>& load_strides,
     return charge;
 }
 
-TlbCharge
-streamTlbCharge(const LoopAnalysis& analysis, const TlbConfig& config,
-                std::int64_t iterations, bool first_invocation)
-{
-    if (!config.enabled)
-        return TlbCharge{};
-    std::vector<std::int64_t> load_strides;
-    load_strides.reserve(analysis.load_streams.size());
-    for (const auto& stream : analysis.load_streams)
-        load_strides.push_back(stream.stride);
-    std::vector<std::int64_t> store_strides;
-    store_strides.reserve(analysis.store_streams.size());
-    for (const auto& stream : analysis.store_streams)
-        store_strides.push_back(stream.stride);
-    return streamTlbCharge(load_strides, store_strides, config, iterations,
-                           first_invocation);
-}
-
 }  // namespace veal

@@ -16,9 +16,10 @@
  * keep resident.
  *
  * The model is deliberately analytic -- a pure function of (strides,
- * iterations, config) -- so it prices identically from a live
- * `LoopAnalysis` and from a persisted `TranslationSummary`
- * (persist/blob.h), which keeps warm-started service reports
+ * iterations, config) -- so the stride lists of a persisted
+ * `TranslationSummary` (persist/blob.h) price exactly like the live
+ * translation they came from.  Every LA price reads them there, through
+ * `persist::servePrice()`, which keeps warm-started service reports
  * byte-identical to in-process runs.
  *
  * Disabled by default (`TlbConfig::off()`): every existing report,
@@ -31,8 +32,6 @@
 
 #include <cstdint>
 #include <vector>
-
-#include "veal/ir/loop_analysis.h"
 
 namespace veal {
 
@@ -89,7 +88,7 @@ std::int64_t streamPageSpan(std::int64_t stride_elements,
                             const TlbConfig& config);
 
 /**
- * Charge for one invocation over explicit stream strides (loads and
+ * Charge for one invocation over the stream strides (loads and
  * stores alike).  @p first_invocation walks the full working set; a
  * re-invocation re-walks only the excess over the TLB's capacity.
  * Zero when the model is disabled.
@@ -98,11 +97,6 @@ TlbCharge streamTlbCharge(const std::vector<std::int64_t>& load_strides,
                           const std::vector<std::int64_t>& store_strides,
                           const TlbConfig& config,
                           std::int64_t iterations, bool first_invocation);
-
-/** As above, reading the strides out of @p analysis. */
-TlbCharge streamTlbCharge(const LoopAnalysis& analysis,
-                          const TlbConfig& config, std::int64_t iterations,
-                          bool first_invocation);
 
 }  // namespace veal
 

@@ -202,16 +202,17 @@ summarize(const TranslationResult& translation)
     if (!translation.ok)
         return summary;
 
-    summary.ii = translation.schedule.ii;
-    summary.stage_count = translation.schedule.stage_count;
-    summary.length = translation.schedule.length;
     VEAL_ASSERT(translation.graph != nullptr,
                 "ok translation without a graph");
-    summary.fu_units = translation.graph->numFuUnits();
-    for (const int reg : translation.registers.reg_of_source_op)
-        summary.live_in_regs += reg >= 0 ? 1 : 0;
-    for (const auto& unit : translation.graph->units())
-        summary.live_outs += unit.is_live_out ? 1 : 0;
+    const LaCostScalars scalars =
+        laCostScalars(translation.schedule, *translation.graph,
+                      translation.analysis, translation.registers);
+    summary.ii = static_cast<std::int32_t>(scalars.ii);
+    summary.stage_count = translation.schedule.stage_count;
+    summary.length = static_cast<std::int32_t>(scalars.length);
+    summary.fu_units = static_cast<std::int32_t>(scalars.fu_units);
+    summary.live_in_regs = static_cast<std::int32_t>(scalars.live_in_regs);
+    summary.live_outs = static_cast<std::int32_t>(scalars.live_outs);
     summary.load_strides.reserve(translation.analysis.load_streams.size());
     for (const auto& stream : translation.analysis.load_streams)
         summary.load_strides.push_back(stream.stride);
@@ -236,6 +237,20 @@ summaryLoopCost(const TranslationSummary& summary, const LaConfig& config,
     scalars.ii = summary.ii;
     scalars.length = summary.length;
     return laInvocationCost(scalars, config, iterations, first_invocation);
+}
+
+ServePrice
+servePrice(const TranslationSummary& summary, const LaConfig& la,
+           const TlbConfig& tlb, std::int64_t iterations,
+           bool first_invocation)
+{
+    ServePrice price;
+    price.tlb = streamTlbCharge(summary.load_strides, summary.store_strides,
+                                tlb, iterations, first_invocation);
+    price.cycles =
+        summaryLoopCost(summary, la, iterations, first_invocation).total() +
+        price.tlb.cycles;
+    return price;
 }
 
 std::vector<std::uint8_t>

@@ -13,10 +13,12 @@
  * `TranslationSummary` -- the handful of scalars the analytic LA cost
  * model (sim/la_timing) actually reads.  `summaryLoopCost()` feeds them
  * to the same `laInvocationCost()` formula `acceleratorLoopCost()`
- * uses, so a summary prices exactly like the translation it came from;
- * the service prices every serve that way, which is what makes
- * warm-started reports byte-identical to in-process runs without
- * persisting schedules or dataflow graphs.
+ * uses, so a summary prices exactly like the translation it came from.
+ * `servePrice()` adds the stream-TLB charge, and it is the one LA
+ * price: the VM, the service and the fleet scorer all price an
+ * invocation through it, which is what makes warm-started reports
+ * byte-identical to in-process runs without persisting schedules or
+ * dataflow graphs.
  *
  * Negative results persist too (ok == false with the reject reason), so
  * a key that rejected translation stays rejected across restarts
@@ -44,6 +46,7 @@
 #include "veal/arch/la_config.h"
 #include "veal/sim/cpu_sim.h"
 #include "veal/sim/la_timing.h"
+#include "veal/sim/tlb_model.h"
 #include "veal/vm/translator.h"
 
 namespace veal::persist {
@@ -139,6 +142,23 @@ LaInvocationCost summaryLoopCost(const TranslationSummary& summary,
                                  const LaConfig& config,
                                  std::int64_t iterations,
                                  bool first_invocation);
+
+/** One LA invocation's price. */
+struct ServePrice {
+    std::int64_t cycles = 0;  ///< Invocation total, TLB cycles included.
+    TlbCharge tlb;            ///< The stream-TLB share (vm.tlb.*).
+};
+
+/**
+ * The LA price of one invocation of the summarized loop on @p la, for
+ * @p iterations iterations: the summaryLoopCost() total plus the
+ * streamTlbCharge() over the summary's strides (zero with the model
+ * off).  The VM, the service and the fleet scorer price every
+ * invocation here.  @p summary must be ok.
+ */
+ServePrice servePrice(const TranslationSummary& summary, const LaConfig& la,
+                      const TlbConfig& tlb, std::int64_t iterations,
+                      bool first_invocation);
 
 /**
  * FNV fold of every CpuConfig field the CPU model reads: issue width,

@@ -22,6 +22,19 @@ toString(TranslationMode mode)
     return "unknown";
 }
 
+std::optional<TranslationMode>
+translationModeByName(const std::string& name)
+{
+    for (const auto mode :
+         {TranslationMode::kStatic, TranslationMode::kFullyDynamic,
+          TranslationMode::kFullyDynamicHeight,
+          TranslationMode::kHybridStaticCcaPriority}) {
+        if (name == toString(mode))
+            return mode;
+    }
+    return std::nullopt;
+}
+
 const char*
 toString(TranslationReject reject)
 {

@@ -51,6 +51,9 @@ enum class TranslationMode : int {
 /** Mode name, e.g. "fully-dynamic". */
 const char* toString(TranslationMode mode);
 
+/** The mode whose toString() is @p name; nullopt for any other name. */
+std::optional<TranslationMode> translationModeByName(const std::string& name);
+
 /**
  * What the static compiler embedded in the binary, in a
  * backward-compatible encoding (paper Figure 9).

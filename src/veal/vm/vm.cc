@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "veal/vm/control_image.h"
-#include "veal/sim/la_timing.h"
+#include "veal/vm/persist/blob.h"
 #include "veal/support/assert.h"
 #include "veal/support/metrics/metrics.h"
 
@@ -53,53 +53,14 @@ VirtualMachine::VirtualMachine(LaConfig la, CpuConfig baseline,
 
 namespace {
 
-/** LA invocation prices of one translated piece, TLB included. */
-struct LaPiecePrice {
-    std::int64_t first = 0;  ///< Cache-miss invocation cost.
-    std::int64_t warm = 0;   ///< Cache-hit invocation cost.
-    TlbCharge tlb_first;     ///< TLB share of `first`.
-    TlbCharge tlb_warm;      ///< TLB share of `warm`.
-};
-
-/**
- * Price @p translation (ok) for @p iterations-iteration invocations.
- * The TLB surcharge (zero when the model is off) rides on both prices,
- * so the path choice and the cache fixed point see TLB pressure exactly
- * like any other cycle.
- */
-LaPiecePrice
-priceOnLa(const TranslationResult& translation, const LaConfig& la,
-          const TlbConfig& tlb, std::int64_t iterations)
-{
-    VEAL_ASSERT(translation.ok && translation.graph != nullptr);
-    const auto invocation = [&](bool first) {
-        return acceleratorLoopCost(translation.schedule, *translation.graph,
-                                   translation.analysis,
-                                   translation.registers, la, iterations,
-                                   first)
-            .total();
-    };
-    LaPiecePrice price;
-    price.tlb_first = streamTlbCharge(translation.analysis, tlb, iterations,
-                                      /*first_invocation=*/true);
-    price.tlb_warm = streamTlbCharge(translation.analysis, tlb, iterations,
-                                     /*first_invocation=*/false);
-    price.first = invocation(true) + price.tlb_first.cycles;
-    price.warm = invocation(false) + price.tlb_warm.cycles;
-    return price;
-}
-
 /** Meter @p misses first and @p hits warm invocations' TLB charges. */
 void
-meterTlb(metrics::Registry& registry, const LaPiecePrice& price,
-         std::int64_t misses, std::int64_t hits)
+meterTlb(metrics::Registry& registry, const TlbCharge& first,
+         const TlbCharge& warm, std::int64_t misses, std::int64_t hits)
 {
-    registry.add("vm.tlb.pages",
-                 misses * price.tlb_first.pages + hits * price.tlb_warm.pages);
-    registry.add("vm.tlb.walks",
-                 misses * price.tlb_first.walks + hits * price.tlb_warm.walks);
-    registry.add("vm.tlb.cycles", misses * price.tlb_first.cycles +
-                                      hits * price.tlb_warm.cycles);
+    registry.add("vm.tlb.pages", misses * first.pages + hits * warm.pages);
+    registry.add("vm.tlb.walks", misses * first.walks + hits * warm.walks);
+    registry.add("vm.tlb.cycles", misses * first.cycles + hits * warm.cycles);
 }
 
 /** @p app's acyclic remainder on @p cpu. */
@@ -117,7 +78,10 @@ struct PieceRecord {
     std::int64_t cpu_cycles_per_invocation = 0;
     TranslationResult translation{};
     DegradationRung rung = DegradationRung::kNominal;
-    LaPiecePrice la{};  ///< Translated-ok pieces only.
+    // LA prices (translated-ok pieces only), TLB included, so the path
+    // choice and the cache fixed point see TLB pressure like any cycle.
+    persist::ServePrice first_price{};  ///< Cache-miss invocation.
+    persist::ServePrice warm_price{};   ///< Cache-hit invocation.
 
     // Filled by either dispatch model.  The three invocation counts sum
     // to the site's invocations.
@@ -245,10 +209,14 @@ translateSite(const LoopSite& site, const CpuBaseline::Site& prices,
     }
 
     for (auto& piece : record.pieces) {
-        if (piece.translation.ok) {
-            piece.la = priceOnLa(piece.translation, la, options.tlb,
-                                 site.iterations);
-        }
+        if (!piece.translation.ok)
+            continue;
+        const persist::TranslationSummary summary =
+            persist::summarize(piece.translation);
+        piece.first_price = persist::servePrice(summary, la, options.tlb,
+                                                site.iterations, true);
+        piece.warm_price = persist::servePrice(summary, la, options.tlb,
+                                               site.iterations, false);
     }
     return record;
 }
@@ -285,7 +253,8 @@ dispatchAnalytic(std::vector<SiteRecord>& sites, const VmOptions& options,
         const std::int64_t misses = missesFor(site, fits);
         const std::int64_t hits = site.invocations - misses;
         const std::int64_t la_total =
-            misses * piece.la.first + hits * piece.la.warm;
+            misses * piece.first_price.cycles +
+            hits * piece.warm_price.cycles;
         return la_total <= piece.cpu_cycles_per_invocation * site.invocations;
     };
 
@@ -537,8 +506,8 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                         "dispatch accounting lost an invocation of ",
                         piece.loop->name());
             site_result.actual_cycles +=
-                piece.la_first * piece.la.first +
-                piece.la_warm * piece.la.warm +
+                piece.la_first * piece.first_price.cycles +
+                piece.la_warm * piece.warm_price.cycles +
                 piece.cpu_runs * piece.cpu_cycles_per_invocation;
 
             std::string trace_scope;
@@ -615,7 +584,8 @@ VirtualMachine::run(const Application& app, metrics::Registry* registry,
                     registry->trace(trace_scope, "path", "la",
                                     tr.schedule.ii);
                     if (options_.tlb.enabled) {
-                        meterTlb(*registry, piece.la, piece.la_first,
+                        meterTlb(*registry, piece.first_price.tlb,
+                                 piece.warm_price.tlb, piece.la_first,
                                  piece.la_warm);
                     }
                 } else {

@@ -4,8 +4,11 @@
  * The load-bearing contracts, each tested over seeded random loops:
  *
  *  - every BackendScorer cell equals an independently recomputed
- *    explore::scoreLoopCell() price (500-loop sweep), so placements are
- *    exactly as cheap as the service later charges;
+ *    fleet::scoreBackend() price, and its CPU column equals
+ *    simulateLoopOnCpu() (500-loop sweep), so placements are exactly
+ *    as cheap as the service later charges;
+ *  - with the TLB on, every ok column carries exactly the loop's
+ *    stream-TLB charge, first and warm, and placements do not move;
  *  - placement is greedy best-warm-cycles with index-ordered tie-breaks,
  *    saturation spills to the *strictly* next-best backend, and the CPU
  *    is the last rung when every viable backend is full;
@@ -29,11 +32,12 @@
 #include <gtest/gtest.h>
 
 #include "veal/arch/cpu_config.h"
-#include "veal/explore/sweep.h"
 #include "veal/fleet/fleet.h"
+#include "veal/ir/loop_analysis.h"
 #include "veal/ir/random_loop.h"
 #include "veal/service/service.h"
 #include "veal/service/trace.h"
+#include "veal/sim/cpu_sim.h"
 #include "veal/sim/tlb_model.h"
 #include "veal/workloads/suite.h"
 
@@ -71,7 +75,7 @@ scoresWithWarmCycles(const std::vector<std::int64_t>& warm)
     return set;
 }
 
-TEST(FleetSteering, FiveHundredLoopScoresMatchIndependentRecomputation)
+TEST(FleetSteering, FiveHundredScoreSetsMatchIndependentRecomputation)
 {
     const fleet::FleetConfig config = fleet::FleetConfig::standard();
     const CpuConfig cpu;
@@ -85,11 +89,11 @@ TEST(FleetSteering, FiveHundredLoopScoresMatchIndependentRecomputation)
         ASSERT_EQ(set.backends.size(), config.backends.size());
         ASSERT_EQ(set.scoring_iterations, kIterations);
         EXPECT_EQ(set.cpu_cycles,
-                  explore::scoreCpuCycles(loop, cpu, kIterations));
+                  simulateLoopOnCpu(loop, cpu, kIterations).total_cycles);
 
         // Column-by-column against the independent one-cell kernel.
         for (std::size_t j = 0; j < config.backends.size(); ++j) {
-            const explore::LoopScore expected = explore::scoreLoopCell(
+            const persist::FleetBackendScore expected = fleet::scoreBackend(
                 loop, config.backends[j].la, kMode, kIterations, tlb);
             const persist::FleetBackendScore& got = set.backends[j];
             ASSERT_EQ(got.ok, expected.ok) << "seed " << seed << " b" << j;
@@ -130,6 +134,59 @@ TEST(FleetSteering, FiveHundredLoopScoresMatchIndependentRecomputation)
         EXPECT_EQ(again.backend, placement.backend);
         EXPECT_EQ(again.spill_rank, placement.spill_rank);
     }
+}
+
+TEST(FleetSteering, TlbChargeShiftsEveryBackendScoreAlike)
+{
+    // With the TLB on, every ok backend's first and warm price carries
+    // exactly the stream-TLB charge of the loop's streams.  The charge
+    // depends on the strides and the trip count, never on the backend,
+    // so it shifts every column alike and no placement moves.
+    const fleet::FleetConfig config = fleet::FleetConfig::standard();
+    const CpuConfig cpu;
+    TlbConfig tlb = TlbConfig::proposed();
+    tlb.entries = 1;
+    const fleet::BackendScorer off(config, cpu, TlbConfig{}, kIterations);
+    const fleet::BackendScorer on(config, cpu, tlb, kIterations);
+    fleet::FleetSteerer steer_off(config);
+    fleet::FleetSteerer steer_on(config);
+    std::int64_t warm_walks = 0;
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        const Loop loop = makeStressLoop(seed % 17, seed);
+        const LoopAnalysis analysis = analyzeLoop(loop);
+        std::vector<std::int64_t> loads;
+        for (const auto& stream : analysis.load_streams)
+            loads.push_back(stream.stride);
+        std::vector<std::int64_t> stores;
+        for (const auto& stream : analysis.store_streams)
+            stores.push_back(stream.stride);
+        const TlbCharge first =
+            streamTlbCharge(loads, stores, tlb, kIterations, true);
+        const TlbCharge warm =
+            streamTlbCharge(loads, stores, tlb, kIterations, false);
+
+        const persist::FleetScoreSet a = off.score(loop, kMode);
+        const persist::FleetScoreSet b = on.score(loop, kMode);
+        EXPECT_EQ(a.cpu_cycles, b.cpu_cycles);
+        for (std::size_t j = 0; j < config.backends.size(); ++j) {
+            ASSERT_EQ(a.backends[j].ok, b.backends[j].ok);
+            ASSERT_EQ(a.backends[j].ii, b.backends[j].ii);
+            if (!a.backends[j].ok)
+                continue;
+            warm_walks += warm.walks;
+            EXPECT_EQ(b.backends[j].first_cycles,
+                      a.backends[j].first_cycles + first.cycles)
+                << "seed " << seed << " backend " << j;
+            EXPECT_EQ(b.backends[j].warm_cycles,
+                      a.backends[j].warm_cycles + warm.cycles)
+                << "seed " << seed << " backend " << j;
+        }
+        const std::string key = "loop-" + std::to_string(seed);
+        EXPECT_EQ(steer_off.place(key, a).backend,
+                  steer_on.place(key, b).backend)
+            << "seed " << seed;
+    }
+    EXPECT_GT(warm_walks, 0) << "no warm score re-walked a page";
 }
 
 TEST(FleetSteering, SaturationSpillsToStrictlyNextBest)
@@ -300,15 +357,15 @@ TEST(FleetSteering, CellEvaluationSharesNoStateAcrossConfigs)
     const TlbConfig tlb;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
         const Loop loop = makeStressLoop(seed % 7, seed);
-        const auto a1 = explore::scoreLoopCell(
+        const auto a1 = fleet::scoreBackend(
             loop, LaConfig::proposed(), kMode, kIterations, tlb);
-        const auto b = explore::scoreLoopCell(
+        const auto b = fleet::scoreBackend(
             loop, fleet::tinyIiConfig(), kMode, kIterations, tlb);
-        const auto c = explore::scoreLoopCell(
+        const auto c = fleet::scoreBackend(
             loop, fleet::streamHeavyConfig(), kMode, kIterations, tlb);
         (void)b;
         (void)c;
-        const auto a2 = explore::scoreLoopCell(
+        const auto a2 = fleet::scoreBackend(
             loop, LaConfig::proposed(), kMode, kIterations, tlb);
         EXPECT_EQ(a1.ok, a2.ok) << "seed " << seed;
         EXPECT_EQ(a1.reject, a2.reject);

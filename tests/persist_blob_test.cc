@@ -13,6 +13,7 @@
 #include "veal/ir/random_loop.h"
 #include "veal/sim/cpu_sim.h"
 #include "veal/sim/reference.h"
+#include "veal/sim/tlb_model.h"
 #include "veal/support/fnv.h"
 #include "veal/vm/control_image.h"
 #include "veal/vm/translator.h"
@@ -103,18 +104,32 @@ TEST(PersistBlob, SummaryCostMatchesAcceleratorCostBitExactly)
     // The equality the whole persistence design leans on: pricing from
     // the persisted summary reproduces the frozen reference cost model
     // exactly, for many random translated loops, at several iteration
-    // counts, first and warm, on two bus latencies.  Any divergence
-    // would make every service price drift from the paper's model.
+    // counts, first and warm, on two bus latencies.  servePrice(), the
+    // one LA price, must add exactly the TLB charge of the analysis
+    // streams, with the model off, at its default and at one entry.
+    // Any divergence would make every service price drift from the
+    // paper's model.
     const LaConfig configs[] = {LaConfig::proposed(),
                                 fleet::tinyIiConfig()};
     ASSERT_NE(configs[0].bus_latency, configs[1].bus_latency);
+    TlbConfig one_entry = TlbConfig::proposed();
+    one_entry.entries = 1;
+    const TlbConfig tlbs[] = {TlbConfig::off(), TlbConfig::proposed(),
+                              one_entry};
     int checked = 0;
+    std::int64_t warm_walks = 0;
     for (std::uint64_t seed = 1; checked < 40 && seed < 400; ++seed) {
         const TranslationResult tr = translateSample(seed).translation;
         if (!tr.ok)
             continue;
         ++checked;
         const TranslationSummary summary = summarize(tr);
+        std::vector<std::int64_t> load_strides;
+        for (const auto& stream : tr.analysis.load_streams)
+            load_strides.push_back(stream.stride);
+        std::vector<std::int64_t> store_strides;
+        for (const auto& stream : tr.analysis.store_streams)
+            store_strides.push_back(stream.stride);
         for (const LaConfig& la : configs) {
             for (const std::int64_t iterations : {1, 2, 12, 100, 4096}) {
                 for (const bool first : {true, false}) {
@@ -134,11 +149,31 @@ TEST(PersistBlob, SummaryCostMatchesAcceleratorCostBitExactly)
                         << la.name << " seed " << seed << " iters "
                         << iterations;
                     ASSERT_EQ(got.total(), expect.total());
+                    for (const TlbConfig& tlb : tlbs) {
+                        const TlbCharge charge =
+                            streamTlbCharge(load_strides, store_strides,
+                                            tlb, iterations, first);
+                        const ServePrice price = servePrice(
+                            summary, la, tlb, iterations, first);
+                        ASSERT_EQ(price.cycles,
+                                  expect.total() + charge.cycles)
+                            << la.name << " seed " << seed << " iters "
+                            << iterations << " tlb " << tlb.enabled
+                            << "/" << tlb.entries << " first " << first;
+                        ASSERT_EQ(price.tlb.pages, charge.pages);
+                        ASSERT_EQ(price.tlb.walks, charge.walks);
+                        ASSERT_EQ(price.tlb.cycles, charge.cycles);
+                        if (!tlb.enabled)
+                            ASSERT_EQ(price.tlb.cycles, 0);
+                        else if (!first)
+                            warm_walks += price.tlb.walks;
+                    }
                 }
             }
         }
     }
     ASSERT_GE(checked, 20) << "random pool translated too rarely";
+    EXPECT_GT(warm_walks, 0) << "no warm invocation re-walked a page";
 }
 
 TEST(PersistBlob, EverySingleByteFlipIsDetected)

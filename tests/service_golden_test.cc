@@ -5,9 +5,10 @@
  * that moves every shape's output the same way passes them all.  This
  * test replays the CI trace (2000 requests, 6 tenants, 12 loops, 24 per
  * tick, seed 1) under the settings the CI `veal-serve` jobs use --
- * faults, a mixed-iteration rewrite, the standard fleet, a 1-entry TLB,
- * tight admission, persistent-store restarts, a bounded store -- plus a
- * long quarantine-heavy trace and a one-strike quarantine policy.  Each
+ * faults, a mixed-iteration rewrite, the standard fleet, a 1-entry TLB
+ * (alone and under the standard fleet), tight admission,
+ * persistent-store restarts, a bounded store -- plus a long
+ * quarantine-heavy trace and a one-strike quarantine policy.  Each
  * run is one line: the six cache-outcome totals plus FNV-1a digests of
  * render(), of the metrics snapshot and of the per-tenant digests.
  *
@@ -195,6 +196,10 @@ TEST(ServiceGolden, RunsMatchSnapshots)
     tlb.tlb.enabled = true;
     tlb.tlb.entries = 1;
     line("tlb-entries=1", tlb, trace);
+
+    ServiceOptions fleet_tlb = tlb;
+    fleet_tlb.fleet = standardFleet();
+    line("fleet=standard tlb-entries=1", fleet_tlb, trace);
 
     ServiceOptions admission = serveOptions();
     admission.tenant_quota = 2;

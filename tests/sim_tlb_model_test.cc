@@ -5,6 +5,7 @@
 #include "veal/arch/la_config.h"
 #include "veal/ir/loop_analysis.h"
 #include "veal/ir/loop_builder.h"
+#include "veal/vm/persist/blob.h"
 #include "veal/vm/translator.h"
 
 namespace veal {
@@ -96,11 +97,12 @@ TEST(StreamTlbCharge, WarmInvocationWalksOnlyTheExcessOverCapacity)
     EXPECT_EQ(resident.cycles, 0);
 }
 
-TEST(StreamTlbCharge, AnalysisOverloadMatchesExplicitStrides)
+TEST(StreamTlbCharge, SummaryStridesMatchAnalysisStreams)
 {
-    // The equivalence the persistence layer depends on: pricing from a
-    // live LoopAnalysis and from the persisted stride lists must agree
-    // bit for bit, or warm-started reports would drift.
+    // Every LA price reads its TLB strides from a persist summary
+    // (persist::servePrice), so summarize() must carry the analysis
+    // streams' strides, loads and stores apart and in order, or a
+    // warm-started price would walk another working set.
     LoopBuilder b("tlb-streams");
     const OpId iv = b.induction(1);
     const OpId wide = b.induction(4);  // Second stream, 4x the stride.
@@ -118,27 +120,20 @@ TEST(StreamTlbCharge, AnalysisOverloadMatchesExplicitStrides)
                       TranslationMode::kFullyDynamic);
     ASSERT_TRUE(tr.ok);
 
-    std::vector<std::int64_t> load_strides;
-    for (const auto& stream : tr.analysis.load_streams)
-        load_strides.push_back(stream.stride);
-    std::vector<std::int64_t> store_strides;
-    for (const auto& stream : tr.analysis.store_streams)
-        store_strides.push_back(stream.stride);
-    ASSERT_FALSE(load_strides.empty());
-    ASSERT_FALSE(store_strides.empty());
-
-    const TlbConfig config = enabledConfig();
-    for (const std::int64_t iterations : {1, 12, 512, 4096}) {
-        for (const bool first : {true, false}) {
-            const TlbCharge from_analysis =
-                streamTlbCharge(tr.analysis, config, iterations, first);
-            const TlbCharge from_strides = streamTlbCharge(
-                load_strides, store_strides, config, iterations, first);
-            EXPECT_EQ(from_analysis.pages, from_strides.pages);
-            EXPECT_EQ(from_analysis.walks, from_strides.walks);
-            EXPECT_EQ(from_analysis.cycles, from_strides.cycles);
-        }
+    const persist::TranslationSummary summary = persist::summarize(tr);
+    ASSERT_EQ(summary.load_strides.size(), 2u);
+    ASSERT_EQ(summary.load_strides.size(), tr.analysis.load_streams.size());
+    ASSERT_EQ(summary.store_strides.size(),
+              tr.analysis.store_streams.size());
+    ASSERT_FALSE(summary.store_strides.empty());
+    for (std::size_t i = 0; i < summary.load_strides.size(); ++i)
+        EXPECT_EQ(summary.load_strides[i], tr.analysis.load_streams[i].stride);
+    for (std::size_t i = 0; i < summary.store_strides.size(); ++i) {
+        EXPECT_EQ(summary.store_strides[i],
+                  tr.analysis.store_streams[i].stride);
     }
+    EXPECT_NE(summary.load_strides[0], summary.load_strides[1])
+        << "two distinct strides, so a swapped order would show";
 }
 
 TEST(StreamTlbCharge, WarmNeverChargesMoreThanFirst)

@@ -9,8 +9,9 @@
  * The report is deterministic: a given (--plans, --seed, --apps) prints
  * byte-identical output for any --threads value.
  *
- * Exit status: 0 on a clean campaign, 1 on divergences or taxonomy
- * violations, 2 on bad usage.
+ * Exit status: 0 on a clean campaign, 1 on divergences, taxonomy
+ * violations or an unwritable --metrics-json snapshot (after the report
+ * prints), 2 on bad usage.
  */
 
 #include <cstdint>
@@ -201,7 +202,7 @@ main(int argc, char** argv)
         !veal::metrics::writeSnapshot(registry, metrics_json)) {
         std::cerr << "veal-faultsim: cannot write " << metrics_json
                   << "\n";
-        return 2;
+        return 1;
     }
     return clean ? 0 : 1;
 }

@@ -9,7 +9,8 @@
  * The report is deterministic: a given (--runs, --seed, --config) prints
  * byte-identical output for any --threads value.
  *
- * Exit status: 0 on a clean campaign (or clean replay), 1 on failures,
+ * Exit status: 0 on a clean campaign (or clean replay), 1 on failures
+ * or an unwritable --metrics-json snapshot (after the report prints),
  * 2 on bad usage.
  */
 
@@ -175,7 +176,7 @@ main(int argc, char** argv)
     if (!metrics_json.empty() &&
         !veal::metrics::writeSnapshot(registry, metrics_json)) {
         std::cerr << "veal-fuzz: cannot write " << metrics_json << "\n";
-        return 2;
+        return 1;
     }
     return summary.clean() ? 0 : 1;
 }
